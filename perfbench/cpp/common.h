@@ -26,6 +26,11 @@ struct Args {
   bool trace = false;
   /// Scratch directory inside the checkout (WAL dirs, the trace file).
   std::string work_dir;
+  /// Index of this process among the runner processes of one run. Part
+  /// 0 also makes the checks against a reference implementation (batch:
+  /// a Run over the in-memory reference; serve_rc: a fresh Run and
+  /// Recover; net_fleet: the in-process twins).
+  int part = 0;
 };
 
 /// Minimal JSON object builder. Keys keep insertion order; nested

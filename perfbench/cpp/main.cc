@@ -18,7 +18,8 @@ namespace {
 void Usage() {
   std::fprintf(stderr,
                "usage: perfbench --workload batch_lp|batch_ie|serve_rc|"
-               "net_fleet --seed N --seconds S --trace 0|1 --work-dir DIR\n");
+               "net_fleet --seed N --seconds S --trace 0|1 --work-dir DIR "
+               "[--part K]\n");
 }
 
 }  // namespace
@@ -38,6 +39,8 @@ int main(int argc, char** argv) {
       args.trace = std::strcmp(value, "0") != 0;
     } else if (key == "--work-dir") {
       args.work_dir = value;
+    } else if (key == "--part") {
+      args.part = std::atoi(value);
     } else {
       Usage();
       return 2;

@@ -486,13 +486,15 @@ bool RunNetWorkload(const Args& args, Report* report) {
                 server_metrics.requests
           : 0.0;
 
-  // ---- output check: each session against an in-process twin.
+  // ---- output check: each session against an in-process twin (part 0).
   double total_cost = 0.0;
   std::vector<double> twin_ms;
+  report->values["peak_rss_mb"] = PeakRssMb();
   for (int c = 0; c < kConnections; ++c) {
     auto wire = fleet.clients[c]->QueryMap("fleet-" + std::to_string(c));
     const double wire_cost = wire.ok() ? wire.value().map_cost : -1.0;
     total_cost += wire_cost;
+    if (args.part != 0) continue;
     InferenceSession twin(ds.program, MakeSessionOptions(args.seed));
     Status st = twin.Open(ds.evidence);
     bool twin_ok = st.ok();
@@ -512,7 +514,6 @@ bool RunNetWorkload(const Args& args, Report* report) {
   report->values["map_cost"] = total_cost;
   report->values["inproc_write_p50_ms"] = Median(twin_ms);
   fleet.Stop();
-  report->values["peak_rss_mb"] = PeakRssMb();
 
   if (args.trace) {
     const std::string trace_path = args.work_dir + "/trace-net_fleet.json";

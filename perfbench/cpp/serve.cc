@@ -355,37 +355,40 @@ bool RunServeWorkload(const Args& args, Report* report) {
   report->values["deltas"] = num_deltas;
   report->values["components"] = static_cast<double>(live.num_components());
 
-  // ---- output checks.
-  {
-    EngineOptions eopts;
-    eopts.search_mode = SearchMode::kComponentAware;
-    eopts.grounding.lazy_closure = false;
-    eopts.total_flips = kColdFlips;
-    eopts.seed = args.seed;
-    TuffyEngine fresh(ds.program, accumulated, eopts);
-    auto r = fresh.Run();
-    const bool ok = r.ok() && r.value().total_cost == cost;
-    report->AddCheck("session_equals_fresh", ok,
-                     "session " + CostText(cost) + " vs fresh " +
-                         (r.ok() ? CostText(r.value().total_cost)
-                                 : r.status().ToString()));
-  }
-  {
-    RecoveryStats rstats;
-    auto recovered =
-        InferenceSession::Recover(ds.program, live_opts, nullptr, &rstats);
-    const bool ok = recovered.ok() &&
-                    recovered.value()->truth() == live.truth() &&
-                    recovered.value()->map_cost() == cost;
-    report->AddCheck(
-        "recovered_equals_live", ok,
-        recovered.ok()
-            ? "recovered " + CostText(recovered.value()->map_cost()) +
-                  " after replaying " +
-                  std::to_string(rstats.records_replayed) + " records"
-            : recovered.status().ToString());
-  }
   report->values["peak_rss_mb"] = PeakRssMb();
+
+  // ---- output checks against reference implementations (part 0).
+  if (args.part == 0) {
+    {
+      EngineOptions eopts;
+      eopts.search_mode = SearchMode::kComponentAware;
+      eopts.grounding.lazy_closure = false;
+      eopts.total_flips = kColdFlips;
+      eopts.seed = args.seed;
+      TuffyEngine fresh(ds.program, accumulated, eopts);
+      auto r = fresh.Run();
+      const bool ok = r.ok() && r.value().total_cost == cost;
+      report->AddCheck("session_equals_fresh", ok,
+                       "session " + CostText(cost) + " vs fresh " +
+                           (r.ok() ? CostText(r.value().total_cost)
+                                   : r.status().ToString()));
+    }
+    {
+      RecoveryStats rstats;
+      auto recovered =
+          InferenceSession::Recover(ds.program, live_opts, nullptr, &rstats);
+      const bool ok = recovered.ok() &&
+                      recovered.value()->truth() == live.truth() &&
+                      recovered.value()->map_cost() == cost;
+      report->AddCheck(
+          "recovered_equals_live", ok,
+          recovered.ok()
+              ? "recovered " + CostText(recovered.value()->map_cost()) +
+                    " after replaying " +
+                    std::to_string(rstats.records_replayed) + " records"
+              : recovered.status().ToString());
+    }
+  }
 
   if (!args.trace) {
     RemoveTree(root);

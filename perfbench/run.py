@@ -82,10 +82,10 @@ def build(out):
     return binary if binary.exists() else None
 
 
-def run_runner(binary, args, seconds, work, timeout):
+def run_runner(binary, args, seconds, part, work, timeout):
     cmd = [str(binary), "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", "%g" % seconds, "--trace", str(args.trace),
-           "--work-dir", str(work)]
+           "--work-dir", str(work / str(part)), "--part", str(part)]
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -253,8 +253,8 @@ def main():
     try:
         for k in range(processes):
             timeout = RUN_TIMEOUT_S / processes
-            raw = run_runner(binary, args, args.seconds / processes,
-                             work / str(k), timeout)
+            raw = run_runner(binary, args, args.seconds / processes, k,
+                             work, timeout)
             if raw is None:
                 return 1
             raws.append(raw)
