@@ -55,7 +55,8 @@ constexpr int kClusters = 60;
 constexpr int kPapersPerCluster = 10;
 constexpr uint64_t kColdFlips = 8000000;
 constexpr uint32_t kSnapshotEvery = 50;
-constexpr int kOpens = 3;
+/// Opens per process; the traced run streams on the last two.
+constexpr int kOpens = 2;
 /// Stream length per second of --seconds. The count must not depend on
 /// timing: the final cost is checked, so the stream is a function of
 /// the seed and the budget only.
@@ -264,7 +265,7 @@ bool RunServeWorkload(const Args& args, Report* report) {
   std::vector<std::unique_ptr<InferenceSession>> sessions;
   std::vector<SessionOptions> session_opts;
   std::vector<double> setup;
-  for (int i = 0; i < std::max(kOpens, sessions_needed); ++i) {
+  for (int i = 0; i < kOpens; ++i) {
     SessionOptions sopts =
         MakeSessionOptions(args.seed, root + "/open-" + std::to_string(i));
     auto session = std::make_unique<InferenceSession>(ds.program, sopts);

@@ -36,11 +36,12 @@ WORKLOADS = ("batch_lp", "batch_ie", "serve_rc", "net_fleet")
 NET_LATENCY_LIMIT_MS = 20.0
 
 # An untraced run is split across this many runner processes, run one
-# after the other, each measuring seconds / PROCESSES with the same seed.
-# On the reference machine a process lands in one of a few speed modes
-# for its whole life (up to 1.5x apart on the parse-bound set-up, 7% on a
-# Run), so pooling samples of several processes steadies the medians.
-PROCESSES = 3
+# after the other, each measuring seconds / PROCESSES[workload] with the
+# same seed. On the reference machine a process lands in one of a few
+# speed modes for its whole life (up to 1.5x apart on the parse-bound
+# set-up, 7% on a Run, 10% on serve_rc's single-threaded deltas), so
+# pooling samples of several processes steadies the medians.
+PROCESSES = {"batch_lp": 3, "batch_ie": 3, "serve_rc": 5, "net_fleet": 3}
 # The whole run must end within 180 s.
 RUN_TIMEOUT_S = 170
 
@@ -248,7 +249,7 @@ def main():
         return 1
     work = out / "work" / ("%s-%d-%d" % (args.workload, args.seed,
                                          os.getpid()))
-    processes = 1 if args.trace else PROCESSES
+    processes = 1 if args.trace else PROCESSES[args.workload]
     raws = []
     try:
         for k in range(processes):
