@@ -20,9 +20,9 @@
 // (QueryMap of `cat`).
 //
 // Output checks: every reply is the expected type and every write's
-// sequence number follows the previous one; each session's final cost
-// (queried over the wire) equals an in-process InferenceSession twin fed
-// the same writes.
+// sequence number follows the previous one. In part 0 (Args::part) each
+// session's final cost (queried over the wire) also equals an in-process
+// InferenceSession twin fed the same writes.
 //
 // run.py computes latencies, lateness, percentiles and net_max_rps from
 // the per-request records this file reports (benchstats.py).

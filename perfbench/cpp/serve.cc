@@ -10,10 +10,10 @@
 // would drift towards one giant component. Every change is undone later
 // in the stream, so the final MAP cost does not depend on the seed.
 //
-// Output checks: every delta succeeds; the final session cost equals a
-// fresh TuffyEngine::Run over the accumulated evidence with
-// lazy_closure = false; InferenceSession::Recover from the WAL is
-// bit-identical (truth and cost) to the live session.
+// Output checks: every delta succeeds. In part 0 (Args::part) the final
+// session cost also equals a fresh TuffyEngine::Run over the accumulated
+// evidence with lazy_closure = false, and InferenceSession::Recover from
+// the WAL is bit-identical (truth and cost) to the live session.
 //
 // Traced: the stream runs on two identically opened sessions, delta by
 // delta in turn, one with spans and the session's own TraceBuilder and
