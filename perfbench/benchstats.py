@@ -59,6 +59,10 @@ def median(values):
     return statistics.median(values)
 
 
+def mean(values):
+    return statistics.fmean(values)
+
+
 def quartiles(values):
     """First quartile, median and third quartile, the way
     statistics.quantiles(values, n=4) gives them."""

@@ -8,14 +8,17 @@
 // (mln_text.h); every Run is one latency sample, and every Run must land
 // on the same MAP cost bit for bit.
 //
-// Traced: one untraced Run, then the same inputs driven through the
-// layer functions Run calls, in Run's order, with a span around each:
-// BottomUpGrounder::Ground, DetectComponents, the batch clause copy,
-// RunComponentWalkSat (one batch, Run's DeriveSeed stream) and
-// MakeWholeProblem + EvalCost. Before that pipeline a breakdown of
-// grounding times LoadMlnTables and, per rule, BuildRuleBindingQuery +
-// CollectBindings on the loaded catalog. The traced pipeline must end on
-// the untraced MAP cost bit for bit.
+// Traced: one untraced Run (the reference cost and the registry counts),
+// then a breakdown of grounding: LoadMlnTables and, per rule,
+// BuildRuleBindingQuery + CollectBindings on the loaded catalog
+// (rule_queries.h). Then kTracedRounds rounds, each of which runs the
+// layer functions Run calls, in Run's order, once without spans and once
+// with a span around each (BottomUpGrounder::Ground, DetectComponents,
+// the batch clause copy, RunComponentWalkSat with one batch and Run's
+// DeriveSeed stream, MakeWholeProblem + EvalCost), and then an untraced
+// Run. exec.other_s is that Run's wall time minus the round's layer
+// spans: the time Run spends outside the layers timed here. Every
+// pipeline and Run must end on the reference MAP cost bit for bit.
 
 #include <algorithm>
 #include <cstdio>
@@ -25,16 +28,14 @@
 #include "common.h"
 #include "datagen/datasets.h"
 #include "exec/tuffy_engine.h"
-#include "ground/atom_loader.h"
 #include "ground/bottom_up_grounder.h"
 #include "infer/component_walksat.h"
 #include "infer/problem.h"
 #include "mln/parser.h"
 #include "mln_text.h"
 #include "mrf/components.h"
-#include "ra/catalog.h"
+#include "rule_queries.h"
 #include "spans.h"
-#include "storage/evidence_side_tables.h"
 #include "util/rng.h"
 
 namespace perfbench {
@@ -48,6 +49,21 @@ namespace {
 constexpr int kMinSetupReps = 10;
 constexpr int kMaxSetupReps = 200;
 constexpr double kSetupSeconds = 0.5;
+/// Rounds of the traced run; run.py reports each layer's median.
+constexpr int kTracedRounds = 3;
+/// The layer spans of one traced pipeline and the metric each feeds;
+/// exec.other_s is an untraced Run minus their sum.
+struct LayerSpan {
+  const char* span;
+  const char* metric;
+};
+constexpr LayerSpan kLayerSpans[] = {
+    {"ground", "ground.s"},
+    {"mrf.components", "mrf.components_s"},
+    {"exec.load", "exec.load_s"},
+    {"infer.search", "infer.search_s"},
+    {"exec.cost_eval", "exec.cost_eval_s"},
+};
 
 struct BatchConfig {
   Dataset source;
@@ -99,9 +115,8 @@ Result<std::unique_ptr<Dataset>> ParseText(const std::string& name,
   return ds;
 }
 
-/// Run's component-aware search path, one call per layer, each inside a
-/// span. Returns the total cost exactly as Run computes it.
-struct TracedRun {
+/// What one pass of Run's pipeline (RunPipeline) found.
+struct PipelineResult {
   double total_cost = 0.0;
   size_t clauses = 0;
   uint64_t candidates = 0;
@@ -112,9 +127,13 @@ struct TracedRun {
   size_t exact_components = 0;
 };
 
-Result<TracedRun> RunTraced(const Dataset& ds, const EngineOptions& options,
-                            SpanRecorder* rec) {
-  TracedRun out;
+/// Run's component-aware search path, one call per layer, each inside a
+/// span when `rec` is not null. The total cost is computed exactly as
+/// Run computes it.
+Result<PipelineResult> RunPipeline(const Dataset& ds,
+                                   const EngineOptions& options,
+                                   SpanRecorder* rec) {
+  PipelineResult out;
   ScopedSpan root(rec, "run");
 
   GroundingResult grounding;
@@ -197,50 +216,6 @@ Result<TracedRun> RunTraced(const Dataset& ds, const EngineOptions& options,
                      grounding.fixed_cost;
   }
   return out;
-}
-
-/// LoadMlnTables, then every rule's binding query on that catalog.
-Status RunGroundingBreakdown(const Dataset& ds, const EngineOptions& options,
-                             SpanRecorder* rec, Report* report) {
-  ScopedSpan root(rec, "ground.breakdown");
-  Catalog catalog;
-  std::unordered_map<PredicateId, uint64_t> true_counts;
-  {
-    ScopedSpan span(rec, "ground.load");
-    TUFFY_RETURN_IF_ERROR(
-        LoadMlnTables(ds.program, ds.evidence, &catalog, &true_counts));
-  }
-  EvidenceSideTables side_tables(ds.program.num_predicates());
-  {
-    ScopedSpan span(rec, "ground.side_tables");
-    side_tables.Rebuild(ds.evidence);
-  }
-  const EvidenceSideTables* sides =
-      options.optimizer.enable_antijoin_pruning ? &side_tables : nullptr;
-  uint64_t rows = 0;
-  double max_rule = 0.0;
-  double total = 0.0;
-  for (int r = 0; r < static_cast<int>(ds.program.clauses().size()); ++r) {
-    const int span = rec->Begin("ra.query", static_cast<uint64_t>(r) + 1);
-    TUFFY_ASSIGN_OR_RETURN(
-        RuleBindingQuery query,
-        BuildRuleBindingQuery(ds.program, r, catalog, true_counts, sides));
-    std::vector<Assignment> bindings;
-    if (!query.trivial) {
-      TUFFY_RETURN_IF_ERROR(CollectBindings(ds.program, r, std::move(query),
-                                            options.optimizer, nullptr,
-                                            &bindings));
-    }
-    rec->End(span);
-    const Span& s = rec->spans()[span];
-    const double seconds = Seconds(s.end_ns - s.start_ns);
-    max_rule = std::max(max_rule, seconds);
-    total += seconds;
-    rows += bindings.size();
-  }
-  report->values["ra.rows_out"] = static_cast<double>(rows);
-  report->values["ra.rule_max_frac"] = total > 0 ? max_rule / total : 0.0;
-  return Status::OK();
 }
 
 }  // namespace
@@ -369,56 +344,67 @@ bool RunBatchWorkload(const Args& args, Report* report) {
   auto untraced = run_once(*parsed, &first_ms);
   if (!untraced.ok()) return false;
   StoreCountDiff(before, CountSnapshot(), 1.0, report);
+  const double untraced_cost = untraced.value().total_cost;
 
   SpanRecorder rec;
-  Status st = RunGroundingBreakdown(*parsed, cfg.options, &rec, report);
+  Status st = MeasureRuleQueries(parsed->program, parsed->evidence,
+                                 cfg.options.optimizer, &rec, report);
   if (!st.ok()) {
     std::fprintf(stderr, "grounding breakdown: %s\n", st.ToString().c_str());
     return false;
   }
-  auto traced = RunTraced(*parsed, cfg.options, &rec);
-  ++report->attempted;
-  if (!traced.ok()) {
-    ++report->failed;
-    std::fprintf(stderr, "traced run: %s\n",
-                 traced.status().ToString().c_str());
-    return false;
+  PipelineResult t;
+  bool same_cost = true;
+  auto& samples = report->samples;
+  for (int round = 0; round < kTracedRounds; ++round) {
+    // Alternate which pipeline goes first, so neither always runs on
+    // memory the other left behind.
+    for (int k = 0; k < 2; ++k) {
+      const bool with_spans = (k + round) % 2 == 1;
+      const uint64_t t0 = NowNs();
+      auto r = RunPipeline(*parsed, cfg.options, with_spans ? &rec : nullptr);
+      const double ms = Millis(NowNs() - t0);
+      ++report->attempted;
+      if (!r.ok()) {
+        ++report->failed;
+        std::fprintf(stderr, "pipeline: %s\n", r.status().ToString().c_str());
+        return false;
+      }
+      same_cost &= r.value().total_cost == untraced_cost;
+      samples[with_spans ? "obs.traced_ms" : "obs.untraced_ms"].push_back(ms);
+      if (with_spans) t = r.TakeValue();
+    }
+    double run_ms = 0.0;
+    auto r = run_once(*parsed, &run_ms);
+    if (!r.ok()) return false;
+    same_cost &= r.value().total_cost == untraced_cost;
+    // This round's span of each layer is the last one recorded.
+    double layers_s = 0.0;
+    for (const LayerSpan& layer : kLayerSpans) {
+      const std::vector<double> ms = rec.DurationsMs(layer.span);
+      const double s = ms.empty() ? 0.0 : ms.back() / 1e3;
+      samples[layer.metric].push_back(s);
+      layers_s += s;
+    }
+    samples["exec.other_s"].push_back(run_ms / 1e3 - layers_s);
+    samples["infer.flips_per_s"].push_back(
+        samples["infer.search_s"].back() > 0
+            ? t.flips / samples["infer.search_s"].back()
+            : 0.0);
   }
-  const TracedRun& t = traced.value();
-  const double untraced_cost = untraced.value().total_cost;
-  report->AddCheck("traced_cost_matches", t.total_cost == untraced_cost,
-                   "traced " + CostText(t.total_cost) + " vs untraced " +
+  report->AddCheck("traced_cost_matches", same_cost,
+                   "every pipeline and Run vs untraced " +
                        CostText(untraced_cost));
 
-  const double run_s = rec.TotalSeconds("run");
   auto& v = report->values;
-  v["ground.load_s"] = rec.TotalSeconds("ground.load");
-  v["ra.query_s"] = rec.TotalSeconds("ra.query");
-  v["ground.s"] = rec.TotalSeconds("ground");
   v["ground.clauses"] = static_cast<double>(t.clauses);
   v["ground.keep_frac"] =
       t.candidates > 0 ? static_cast<double>(t.clauses) / t.candidates : 0.0;
   v["ground.pruned_antijoin"] = t.pruned_antijoin;
-  v["mrf.components_s"] = rec.TotalSeconds("mrf.components");
   v["mrf.components"] = static_cast<double>(t.components);
   v["mrf.largest_frac"] = t.largest_frac;
-  v["infer.search_s"] = rec.TotalSeconds("infer.search");
   v["infer.flips"] = static_cast<double>(t.flips);
-  v["infer.flips_per_s"] =
-      v["infer.search_s"] > 0 ? t.flips / v["infer.search_s"] : 0.0;
   v["infer.exact_components"] = static_cast<double>(t.exact_components);
-  v["exec.load_s"] = rec.TotalSeconds("exec.load");
-  v["exec.cost_eval_s"] = rec.TotalSeconds("exec.cost_eval");
-  // What the spans above leave unaccounted inside the traced Run.
-  v["exec.other_s"] = rec.SelfSeconds("run");
-  // The first Run of a process is slower (fresh memory); compare the
-  // traced pipeline with an untraced Run made after it.
-  double warm_ms = 0.0;
-  if (!run_once(*parsed, &warm_ms).ok()) return false;
-  const double untraced_s = warm_ms / 1e3;
-  v["obs.trace_overhead_frac"] = (run_s - untraced_s) / untraced_s;
-  v["run_s.traced"] = run_s;
-  v["run_s.untraced"] = untraced_s;
   v["map_cost"] = untraced_cost;
 
   const std::string trace_path =

@@ -38,19 +38,6 @@ std::string JsonNumber(double v) {
 
 std::string CostText(double cost) { return JsonNumber(cost); }
 
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-double Mean(const std::vector<double>& v) {
-  double sum = 0.0;
-  for (double x : v) sum += x;
-  return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
-}
-
 void Json::Key(const std::string& key) {
   if (!body_.empty()) body_ += ',';
   body_ += JsonString(key);

@@ -56,9 +56,6 @@ std::string JsonNumber(double v);
 /// A MAP cost with every digit, for check details.
 std::string CostText(double cost);
 
-double Median(std::vector<double> v);
-double Mean(const std::vector<double>& v);
-
 /// Everything one workload run reports back to run.py.
 struct Report {
   /// Operations attempted / failed (a failed check counts as one failed

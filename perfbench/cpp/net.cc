@@ -32,7 +32,9 @@
 
 #include <algorithm>
 #include <barrier>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -58,7 +60,9 @@ constexpr int kConnections = 2;
 constexpr uint64_t kFlips = 60000;
 constexpr int kSetupReps = 25;
 constexpr size_t kMaxOutstanding = 24;
-/// Share of requests that are writes.
+/// Share of requests that are writes. An assumption, not measured
+/// traffic: nothing in the repository or the paper gives a read/write
+/// mix (perfbench/README.md, "Assumed traffic mix").
 constexpr double kWriteShare = 0.3;
 
 /// A load step: offered rate (requests per second over the whole
@@ -259,13 +263,17 @@ class Generator {
   }
 
   /// Waits up to `wait_ns` for reply bytes and consumes every complete
-  /// reply frame. False on a transport error.
+  /// reply frame. False on a transport error, which is recorded.
   bool Drain(uint64_t wait_ns) {
     pollfd pfd{client_->fd(), POLLIN, 0};
     timespec ts{static_cast<time_t>(wait_ns / 1000000000),
                 static_cast<long>(wait_ns % 1000000000)};
     const int rc = ::ppoll(&pfd, 1, &ts, nullptr);
-    if (rc <= 0) return true;
+    if (rc == 0 || (rc < 0 && errno == EINTR)) return true;
+    if (rc < 0) {
+      result_.transport_error = std::string("poll: ") + std::strerror(errno);
+      return false;
+    }
     char buf[65536];
     while (true) {
       const ssize_t n = ::recv(client_->fd(), buf, sizeof(buf), MSG_DONTWAIT);
@@ -277,7 +285,14 @@ class Generator {
         result_.transport_error = "server closed the connection";
         return false;
       }
-      break;  // EAGAIN: nothing more for now
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      result_.transport_error = std::string("recv: ") + std::strerror(errno);
+      return false;
+    }
+    if ((pfd.revents & (POLLERR | POLLNVAL)) != 0) {
+      result_.transport_error = "socket error";
+      return false;
     }
     const uint64_t now = NowNs();
     while (true) {
@@ -512,7 +527,7 @@ bool RunNetWorkload(const Args& args, Report* report) {
                          CostText(twin.map_cost()));
   }
   report->values["map_cost"] = total_cost;
-  report->values["inproc_write_p50_ms"] = Median(twin_ms);
+  report->samples["inproc_write_ms"] = twin_ms;
   fleet.Stop();
 
   if (args.trace) {

@@ -34,15 +34,12 @@
 #include "datagen/datasets.h"
 #include "durability/wal.h"
 #include "exec/tuffy_engine.h"
-#include "ground/atom_loader.h"
-#include "ground/bottom_up_grounder.h"
 #include "mrf/components.h"
 #include "obs/trace.h"
-#include "ra/catalog.h"
+#include "rule_queries.h"
 #include "serve/delta_grounder.h"
 #include "serve/inference_session.h"
 #include "spans.h"
-#include "storage/evidence_side_tables.h"
 #include "util/rng.h"
 
 namespace perfbench {
@@ -61,7 +58,9 @@ constexpr int kOpens = 2;
 /// timing: the final cost is checked, so the stream is a function of
 /// the seed and the budget only.
 constexpr double kDeltasPerSecond = 30.0;
-/// Share of deltas that edit a `refers` edge instead of relabeling.
+/// Share of deltas that edit a `refers` edge instead of relabeling. An
+/// assumption, not measured traffic (perfbench/README.md, "Assumed
+/// traffic mix").
 constexpr double kRefersShare = 0.2;
 
 /// bench_serving's dataset. It is the same for every seed (the seed
@@ -204,48 +203,6 @@ class DeltaStream {
   std::set<Edge> locked_;
   std::deque<Pending> pending_;
 };
-
-/// Per-rule binding queries over the initial evidence (what Open's
-/// grounding runs), timed from outside.
-Status MeasureRuleQueries(const Dataset& ds, const SessionOptions& sopts,
-                          SpanRecorder* rec, Report* report) {
-  ScopedSpan root(rec, "ground.breakdown");
-  Catalog catalog;
-  std::unordered_map<PredicateId, uint64_t> true_counts;
-  {
-    ScopedSpan span(rec, "ground.load");
-    TUFFY_RETURN_IF_ERROR(
-        LoadMlnTables(ds.program, ds.evidence, &catalog, &true_counts));
-  }
-  EvidenceSideTables side_tables(ds.program.num_predicates());
-  side_tables.Rebuild(ds.evidence);
-  const EvidenceSideTables* sides =
-      sopts.optimizer.enable_antijoin_pruning ? &side_tables : nullptr;
-  uint64_t rows = 0;
-  double max_rule = 0.0;
-  double total = 0.0;
-  for (int r = 0; r < static_cast<int>(ds.program.clauses().size()); ++r) {
-    const uint64_t t0 = NowNs();
-    const int span = rec->Begin("ra.query", static_cast<uint64_t>(r) + 1);
-    TUFFY_ASSIGN_OR_RETURN(
-        RuleBindingQuery query,
-        BuildRuleBindingQuery(ds.program, r, catalog, true_counts, sides));
-    std::vector<Assignment> bindings;
-    if (!query.trivial) {
-      TUFFY_RETURN_IF_ERROR(CollectBindings(ds.program, r, std::move(query),
-                                            sopts.optimizer, nullptr,
-                                            &bindings));
-    }
-    rec->End(span);
-    const double seconds = Seconds(NowNs() - t0);
-    max_rule = std::max(max_rule, seconds);
-    total += seconds;
-    rows += bindings.size();
-  }
-  report->values["ra.rows_out"] = static_cast<double>(rows);
-  report->values["ra.rule_max_frac"] = total > 0 ? max_rule / total : 0.0;
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -403,20 +360,23 @@ bool RunServeWorkload(const Args& args, Report* report) {
                    traced.map_cost() == cost && traced.truth() == live.truth(),
                    "traced " + CostText(traced.map_cost()) + " vs untraced " +
                        CostText(cost));
+  // Per-layer series; run.py reports their medians (or means).
+  auto& samples = report->samples;
   auto& v = report->values;
-  v["obs.trace_overhead_frac"] =
-      (Median(traced_ms) - Median(op_ms)) / Median(op_ms);
-  v["serve.research_ms"] = Median(research_ms);
-  v["serve.flips_per_delta"] = Mean(flips);
-  v["serve.dirty_frac"] = Mean(dirty_frac);
+  samples["obs.untraced_ms"] = op_ms;
+  samples["obs.traced_ms"] = traced_ms;
+  samples["serve.research_ms"] = research_ms;
+  samples["serve.flips_per_delta"] = flips;
+  samples["serve.dirty_frac"] = dirty_frac;
 
-  Status st = MeasureRuleQueries(ds, live_opts, &rec, report);
+  // Per-rule binding queries over the initial evidence (what Open's
+  // grounding runs).
+  Status st = MeasureRuleQueries(ds.program, ds.evidence, live_opts.optimizer,
+                                 &rec, report);
   if (!st.ok()) {
     std::fprintf(stderr, "rule queries: %s\n", st.ToString().c_str());
     return false;
   }
-  v["ground.load_s"] = rec.TotalSeconds("ground.load");
-  v["ra.query_s"] = rec.TotalSeconds("ra.query");
 
   // Delta grounding twin.
   DeltaGrounder grounder(ds.program, live_opts.grounding,
@@ -448,8 +408,8 @@ bool RunServeWorkload(const Args& args, Report* report) {
     }
     maintenance.push_back(static_cast<double>(edits.value().maintenance_rows));
   }
-  v["serve.ground_delta_ms"] = Median(rec.DurationsMs("serve.ground_delta"));
-  v["serve.maintenance_rows_per_delta"] = Mean(maintenance);
+  samples["serve.ground_delta_ms"] = rec.DurationsMs("serve.ground_delta");
+  samples["serve.maintenance_rows_per_delta"] = maintenance;
 
   // Component detection over the final clause set.
   for (int rep = 0; rep < 5; ++rep) {
@@ -466,7 +426,9 @@ bool RunServeWorkload(const Args& args, Report* report) {
           static_cast<double>(largest) / live.atoms().num_atoms();
     }
   }
-  v["mrf.components_s"] = Median(rec.DurationsMs("mrf.components")) / 1e3;
+  for (double ms : rec.DurationsMs("mrf.components")) {
+    samples["mrf.components_s"].push_back(ms / 1e3);
+  }
 
   // WAL twin: records of the session's mean logged size, append + fsync.
   const double records = count_after.at("wal.append.count");
@@ -491,7 +453,7 @@ bool RunServeWorkload(const Args& args, Report* report) {
       }
     }
   }
-  v["durability.fsync_ms"] = Median(rec.DurationsMs("durability.append_sync"));
+  samples["durability.fsync_ms"] = rec.DurationsMs("durability.append_sync");
 
   const std::string trace_path = args.work_dir + "/trace-serve_rc.json";
   if (rec.WriteChromeTrace(trace_path)) {

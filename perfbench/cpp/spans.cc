@@ -37,20 +37,6 @@ void SpanRecorder::Add(const std::string& name, uint64_t start_ns,
   spans_.push_back(std::move(span));
 }
 
-double SpanRecorder::SelfSeconds(const std::string& name) const {
-  std::vector<uint64_t> child_ns(spans_.size(), 0);
-  for (const Span& s : spans_) {
-    if (s.parent >= 0) child_ns[s.parent] += s.end_ns - s.start_ns;
-  }
-  double total = 0.0;
-  for (size_t i = 0; i < spans_.size(); ++i) {
-    if (spans_[i].name != name) continue;
-    const uint64_t dur = spans_[i].end_ns - spans_[i].start_ns;
-    total += Seconds(dur - std::min(dur, child_ns[i]));
-  }
-  return total;
-}
-
 double SpanRecorder::TotalSeconds(const std::string& name) const {
   double total = 0.0;
   for (const Span& s : spans_) {

@@ -34,9 +34,6 @@ class SpanRecorder {
 
   const std::vector<Span>& spans() const { return spans_; }
 
-  /// Sum over spans called `name` of their duration minus the time
-  /// covered by their direct children, in seconds.
-  double SelfSeconds(const std::string& name) const;
   /// Sum of the durations of spans called `name`, in seconds.
   double TotalSeconds(const std::string& name) const;
   /// Durations of every span called `name`, in milliseconds.
@@ -51,13 +48,15 @@ class SpanRecorder {
   std::vector<int> open_;
 };
 
-/// RAII span.
+/// RAII span; records nothing when `rec` is null.
 class ScopedSpan {
  public:
   ScopedSpan(SpanRecorder* rec, const std::string& name,
              uint64_t request_id = 0)
-      : rec_(rec), index_(rec->Begin(name, request_id)) {}
-  ~ScopedSpan() { rec_->End(index_); }
+      : rec_(rec), index_(rec ? rec->Begin(name, request_id) : -1) {}
+  ~ScopedSpan() {
+    if (rec_ != nullptr) rec_->End(index_);
+  }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 

@@ -204,17 +204,33 @@ def end_to_end(result, report):
     }
 
 
+# Per-layer series the runner reports raw; their mean is the metric (the
+# median for every other series).
+LAYER_MEANS = ("serve.flips_per_delta", "serve.dirty_frac",
+               "serve.maintenance_rows_per_delta")
+
+
 def per_layer(raw, spec):
     """The per_layer metrics; layers the workload leaves idle report 0."""
+    samples = raw["samples"]
     values = dict(raw["values"])
     values.update(raw["counts"])
+    for m in spec["per_layer"]:
+        series = samples.get(m["name"])
+        if series:
+            values[m["name"]] = (bs.mean(series) if m["name"] in LAYER_MEANS
+                                 else bs.median(series))
+    if "obs.traced_ms" in samples:
+        base = bs.median(samples["obs.untraced_ms"])
+        values["obs.trace_overhead_frac"] = (
+            (bs.median(samples["obs.traced_ms"]) - base) / base)
     if raw["workload"] == "net_fleet":
         steps, per_step = net_ladder([raw])
         ref_recs = per_step[net_reference(steps)][0]
         writes = [bs.latency_ms(r) for r in ref_recs if r[2] == 1]
         writes = [x for x in writes if x is not None]
         values["net.overhead_ms"] = (bs.median(writes) -
-                                     values["inproc_write_p50_ms"])
+                                     bs.median(samples["inproc_write_ms"]))
         late = [bs.lateness_ms(r) for r in ref_recs]
         values["net.gen_late_ms"] = bs.tail(late, cap=99.0)[1] or max(late)
         off = [i for i, s in enumerate(steps) if s["kind"] == "metrics_off"]

@@ -179,6 +179,22 @@ class MetricNamesTest(unittest.TestCase):
         for m in spec["end_to_end"]:
             self.assertLessEqual(m["bound"], 0.25)
 
+    def test_per_layer_reduces_raw_series(self):
+        raw = {"workload": "serve_rc", "counts": {"reg.wal.fsync.count": 7.0},
+               "values": {"ground.clauses": 12.0},
+               "samples": {"serve.research_ms": [5.0, 1.0, 3.0, 100.0],
+                           "serve.dirty_frac": [0.1, 0.2, 0.6],
+                           "obs.untraced_ms": [10.0, 11.0, 12.0],
+                           "obs.traced_ms": [11.0, 12.0, 13.2]}}
+        got = run.per_layer(raw, self.spec)
+        self.assertEqual(got["serve.research_ms"], 4.0)  # median
+        self.assertAlmostEqual(got["serve.dirty_frac"], 0.3)  # mean
+        self.assertEqual(got["ground.clauses"], 12.0)
+        self.assertEqual(got["reg.wal.fsync.count"], 7.0)
+        self.assertAlmostEqual(got["obs.trace_overhead_frac"], 1.0 / 11.0)
+        self.assertEqual(got["net.shed"], 0.0)  # idle layer
+        self.assertEqual(set(got), {m["name"] for m in self.spec["per_layer"]})
+
     def test_registry_counts_are_counts(self):
         for m in self.spec["per_layer"]:
             if m["name"].startswith("reg."):
