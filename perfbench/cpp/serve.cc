@@ -2,8 +2,9 @@
 // 50 deltas) over relational classification, fed a closed-loop stream of
 // evidence deltas by a single caller.
 //
-// Set-up is InferenceSession::Open (ground + cold search), made several
-// times; every open is a sample and the last session serves the stream.
+// Set-up is InferenceSession::Open (ground + cold search): one open per
+// runner process (run.py pools the processes' samples), two in the
+// traced run. The opened session serves the stream.
 // Most deltas relabel a paper (retract + assert `cat`); a minority add or
 // remove a `refers` edge between two papers of one cluster. Edges never
 // cross clusters: a cross-cluster edge merges components and the stream
@@ -52,12 +53,11 @@ constexpr int kClusters = 60;
 constexpr int kPapersPerCluster = 10;
 constexpr uint64_t kColdFlips = 8000000;
 constexpr uint32_t kSnapshotEvery = 50;
-/// Opens per process; the traced run streams on the last two.
-constexpr int kOpens = 2;
-/// Stream length per second of --seconds. The count must not depend on
-/// timing: the final cost is checked, so the stream is a function of
-/// the seed and the budget only.
-constexpr double kDeltasPerSecond = 30.0;
+/// Stream length per second of --seconds, sized so that the stream fills
+/// most of the budget at ~21 ms a delta. The count must not depend on
+/// timing: the final cost is checked, so the stream is a function of the
+/// seed and the budget only.
+constexpr double kDeltasPerSecond = 42.0;
 /// Share of deltas that edit a `refers` edge instead of relabeling. An
 /// assumption, not measured traffic (perfbench/README.md, "Assumed
 /// traffic mix").
@@ -217,12 +217,13 @@ bool RunServeWorkload(const Args& args, Report* report) {
   const std::string root = args.work_dir + "/serve";
   RemoveTree(root);
 
-  // ---- set-up: open the session several times; keep the last.
-  const int sessions_needed = args.trace ? 2 : 1;
+  // ---- set-up: open the session (two twins in the traced run). Every
+  // open is a set-up sample; the time an open takes goes to the stream.
+  const int opens = args.trace ? 2 : 1;
   std::vector<std::unique_ptr<InferenceSession>> sessions;
   std::vector<SessionOptions> session_opts;
   std::vector<double> setup;
-  for (int i = 0; i < kOpens; ++i) {
+  for (int i = 0; i < opens; ++i) {
     SessionOptions sopts =
         MakeSessionOptions(args.seed, root + "/open-" + std::to_string(i));
     auto session = std::make_unique<InferenceSession>(ds.program, sopts);
@@ -239,17 +240,15 @@ bool RunServeWorkload(const Args& args, Report* report) {
     session_opts.push_back(sopts);
   }
   report->samples["setup_s"] = setup;
-  // The stream runs on the last `sessions_needed` sessions.
-  while (static_cast<int>(sessions.size()) > sessions_needed) {
-    sessions.erase(sessions.begin());
-    session_opts.erase(session_opts.begin());
-  }
   InferenceSession& live = *sessions.back();
   const SessionOptions& live_opts = session_opts.back();
 
   // ---- the delta stream.
+  // The traced run applies every delta twice (untraced and traced twin),
+  // so its stream is half as long.
+  const double stream_seconds = args.trace ? args.seconds / 2 : args.seconds;
   const int num_deltas =
-      2 * std::max(10, static_cast<int>(args.seconds * kDeltasPerSecond / 2));
+      2 * std::max(10, static_cast<int>(stream_seconds * kDeltasPerSecond / 2));
   const std::vector<EvidenceDelta> deltas =
       DeltaStream(ds, args.seed).Generate(num_deltas);
   // The evidence the stream leads to, for the fresh-run check.
