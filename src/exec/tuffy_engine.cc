@@ -192,7 +192,8 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
 
         ComponentSearchOptions copts;
         copts.total_flips = std::max<uint64_t>(
-            1, options_.total_flips * batch_atoms / num_atoms);
+            1,
+            ProportionalBudget(options_.total_flips, batch_atoms, num_atoms));
         copts.rounds = options_.rounds;
         copts.num_threads = options_.num_threads;
         copts.p_random = options_.p_random;

@@ -58,8 +58,9 @@ ComponentSearchResult RunComponentWalkSat(
     wopts.init_random = options.init_random;
     searchers[i] = std::make_unique<IncrementalWalkSat>(&subs[i].problem,
                                                         wopts, rngs[i].get());
-    budget[i] = options.total_flips * components.atoms[i].size() / total_atoms;
-    if (budget[i] == 0) budget[i] = 1;
+    budget[i] = std::max<uint64_t>(
+        1, ProportionalBudget(options.total_flips, components.atoms[i].size(),
+                              total_atoms));
     result.state_bytes += subs[i].problem.arena().EstimateBytes() +
                           searchers[i]->state_bytes();
   }

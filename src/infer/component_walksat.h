@@ -2,12 +2,27 @@
 #define TUFFY_INFER_COMPONENT_WALKSAT_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "infer/walksat.h"
 #include "mrf/components.h"
 
 namespace tuffy {
+
+/// `total * part / whole` without wrapping: the flip share of a part
+/// (component or batch) holding `part` of `whole` atoms. The product is
+/// taken in 128 bits, so the value equals the 64-bit expression whenever
+/// that one does not overflow; a quotient past UINT64_MAX (part > whole)
+/// saturates. Requires whole > 0.
+inline uint64_t ProportionalBudget(uint64_t total, uint64_t part,
+                                   uint64_t whole) {
+  const unsigned __int128 share =
+      static_cast<unsigned __int128>(total) * part / whole;
+  return share > std::numeric_limits<uint64_t>::max()
+             ? std::numeric_limits<uint64_t>::max()
+             : static_cast<uint64_t>(share);
+}
 
 /// Options for component-aware search (Section 3.3).
 struct ComponentSearchOptions {

@@ -387,12 +387,18 @@ IncrementalWalkSat::IncrementalWalkSat(const Problem* problem,
 void IncrementalWalkSat::SetAssignment(const std::vector<uint8_t>& truth) {
   state_.SetAssignment(truth);
   best_.RebaseTo(state_.truth());
-  if (state_.cost() < best_.best_cost()) best_.OnImproved(state_.cost());
+  if (state_.cost() < best_.best_cost()) {
+    best_.OnImproved(state_.cost());
+    stale_flips_ = 0;
+  }
 }
 
-uint64_t IncrementalWalkSat::RunFlips(uint64_t n) {
+uint64_t IncrementalWalkSat::RunFlips(uint64_t n, uint64_t patience) {
+  // The streak lives in a local during the loop: Flip writes through
+  // pointers, so a member counter would be reloaded and stored per flip.
   uint64_t done = 0;
-  while (done < n) {
+  uint64_t stale = stale_flips_;
+  while (done < n && stale < patience) {
     if (!state_.HasViolated()) break;
     AtomId chosen = ChooseWalkSatMove(state_, options_.p_random, rng_);
     state_.Flip(chosen);
@@ -400,10 +406,13 @@ uint64_t IncrementalWalkSat::RunFlips(uint64_t n) {
     ++done;
     if (state_.cost() < best_.best_cost()) {
       best_.OnImproved(state_.cost());
+      stale = 0;
     } else {
       best_.MaybeRebase(state_.truth());
+      ++stale;
     }
   }
+  stale_flips_ = stale;
   flips_ += done;
   return done;
 }

@@ -287,15 +287,24 @@ class IncrementalWalkSat {
   /// by RunFlips.
   IncrementalWalkSat(const Problem* problem, WalkSatOptions options, Rng* rng);
 
-  /// Continues the search for up to `n` more flips (stops early at cost
-  /// 0). Returns the number of flips actually performed.
-  uint64_t RunFlips(uint64_t n);
+  /// No stagnation limit: RunFlips stops only at its flip count or cost 0.
+  static constexpr uint64_t kNoPatience =
+      std::numeric_limits<uint64_t>::max();
+
+  /// Continues the search for up to `n` more flips. Stops early at cost 0,
+  /// or once `patience` consecutive flips have not lowered the best cost
+  /// (stale_flips() >= patience). The streak carries across calls, so a
+  /// run split into chunks flips exactly like one call. Returns the number
+  /// of flips actually performed.
+  uint64_t RunFlips(uint64_t n, uint64_t patience = kNoPatience);
 
   double best_cost() const { return best_.best_cost(); }
   const std::vector<uint8_t>& best_truth() const { return best_.best_truth(); }
   double current_cost() const { return state_.cost(); }
   const std::vector<uint8_t>& current_truth() const { return state_.truth(); }
   uint64_t flips() const { return flips_; }
+  /// Flips since the best cost last fell (0 right after an improvement).
+  uint64_t stale_flips() const { return stale_flips_; }
   /// Bytes of the owned search state's derived arrays.
   size_t state_bytes() const { return state_.EstimateBytes(); }
 
@@ -309,6 +318,7 @@ class IncrementalWalkSat {
   WalkSatState state_;
   BestTruthTracker best_;
   uint64_t flips_ = 0;
+  uint64_t stale_flips_ = 0;
 };
 
 }  // namespace tuffy

@@ -9,6 +9,7 @@
 
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
+#include "infer/component_walksat.h"
 #include "infer/exact/exact_solver.h"
 #include "infer/mcsat.h"
 #include "infer/walksat.h"
@@ -27,6 +28,10 @@ constexpr uint32_t kWalMagic = 0x54465957;  // "TFYW"
 constexpr uint32_t kWalVersion = 1;
 constexpr uint8_t kWalRecordHeader = 0;
 constexpr uint8_t kWalRecordDelta = 1;
+
+/// Floor of a warm re-search's patience, in flips per component atom
+/// (see SearchOneComponent).
+constexpr uint64_t kWarmPatiencePerAtom = 500;
 
 /// Fingerprint of every option that can alter session results. Mirrors
 /// ProgramFingerprint's role: durable state restored under different
@@ -402,10 +407,10 @@ void InferenceSession::FinishDeltaTrace(TraceBuilder* trace, int apply_span,
                                         double seconds,
                                         const DeltaApplyResult* result) {
   FlightRecorder::Global().Recordf(
-      "delta seq=%llu dirty=%zu/%zu flips=%llu %.3fms",
+      "delta seq=%llu dirty=%zu/%zu flips=%llu stale=%llu %.3fms",
       static_cast<unsigned long long>(result->seq), result->components_dirty,
       result->components_total, static_cast<unsigned long long>(result->flips),
-      seconds * 1e3);
+      static_cast<unsigned long long>(result->stale_stops), seconds * 1e3);
   if (trace == nullptr) return;
   trace->EndSpan(apply_span);
   DeltaTrace finished = trace->Finish(result->seq);
@@ -752,14 +757,15 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
   // Workers stamp their component's slot; slots become child spans after
   // the join. Indices are disjoint per worker, so no synchronization.
   std::vector<ComponentTiming> timings(trace != nullptr ? dirty.size() : 0);
-  // Workers stamp disjoint slots; summed into stats after the join.
-  std::vector<uint8_t> exact_flags(dirty.size(), 0);
+  // Workers stamp disjoint slots; counted after the join.
+  std::vector<SearchEnd> ends(dirty.size(), SearchEnd::kFlips);
 
   TaskGroup group(pool_);
   for (size_t i = 0; i < dirty.size(); ++i) {
     const size_t c = dirty[i];
     uint64_t budget = std::max<uint64_t>(
-        1, options_.total_flips * comps_.atoms[c].size() / total_atoms);
+        1, ProportionalBudget(options_.total_flips, comps_.atoms[c].size(),
+                              total_atoms));
     // Keyed by the component's smallest atom id — stable across thread
     // counts and scheduling order, so results are bit-identical for any
     // num_threads.
@@ -767,12 +773,10 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
     const uint64_t search_seed = DeriveSeed(search_base, comp_key);
     const uint64_t mcsat_seed = DeriveSeed(mcsat_base, comp_key);
     ComponentTiming* timing = timings.empty() ? nullptr : &timings[i];
-    uint8_t* exact_flag = &exact_flags[i];
-    group.Submit(
-        [this, c, budget, cold, search_seed, mcsat_seed, timing, exact_flag] {
-          SearchOneComponent(c, budget, cold, search_seed, mcsat_seed, timing,
-                             exact_flag);
-        });
+    SearchEnd* end = &ends[i];
+    group.Submit([this, c, budget, cold, search_seed, mcsat_seed, timing, end] {
+      SearchOneComponent(c, budget, cold, search_seed, mcsat_seed, timing, end);
+    });
   }
   group.Wait();
 
@@ -795,22 +799,28 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
 
   for (size_t c : dirty) result->flips += comp_flips_[c];
   stats_.components_researched += dirty.size();
-  for (uint8_t f : exact_flags) stats_.components_exact += f;
+  for (SearchEnd e : ends) {
+    stats_.components_exact += e == SearchEnd::kExact;
+    result->stale_stops += e == SearchEnd::kStale;
+  }
   stats_.flips += result->flips;
   result->search_seconds = timer.ElapsedSeconds();
 
   static Counter* researched =
       MetricsRegistry::Global().GetCounter("search.component.count");
   static Counter* flips = MetricsRegistry::Global().GetCounter("search.flips");
+  static Counter* stale_stops =
+      MetricsRegistry::Global().GetCounter("search.stale_stops");
   researched->Add(dirty.size());
   flips->Add(result->flips);
+  stale_stops->Add(result->stale_stops);
 }
 
 void InferenceSession::SearchOneComponent(size_t comp, uint64_t budget,
                                           bool cold, uint64_t search_seed,
                                           uint64_t mcsat_seed,
                                           ComponentTiming* timing,
-                                          uint8_t* exact_flag) {
+                                          SearchEnd* end) {
   if (timing != nullptr) timing->start_ns = TraceNowNs();
   const std::vector<AtomId>& comp_atoms = comps_.atoms[comp];
   if (comps_.clauses[comp].empty()) {
@@ -851,7 +861,7 @@ void InferenceSession::SearchOneComponent(size_t comp, uint64_t budget,
           marginals_[comp_atoms[i]] = ex.marginals[i];
         }
       }
-      if (exact_flag != nullptr) *exact_flag = 1;
+      *end = SearchEnd::kExact;
       if (timing != nullptr) timing->end_ns = TraceNowNs();
       return;
     }
@@ -872,9 +882,24 @@ void InferenceSession::SearchOneComponent(size_t comp, uint64_t budget,
     wopts.initial = &init;
   }
 
+  // A warm start is usually optimal already or nearly so (on RC streams
+  // its search last improves at flip 1 at the median), yet it would burn
+  // its whole budget whenever the optimum violates soft clauses. So it
+  // stops once `patience` flips in a row found no new best: budget/8, but
+  // at least kWarmPatiencePerAtom flips per atom, because improvement gaps
+  // reached 403 flips per atom at low budgets, where budget/8 alone ended
+  // searches early (docs/SERVING.md). Cold searches start random and keep
+  // the full budget.
+  const uint64_t patience =
+      cold ? IncrementalWalkSat::kNoPatience
+           : std::max<uint64_t>(budget / 8,
+                                kWarmPatiencePerAtom * comp_atoms.size());
   Rng rng(search_seed);
   IncrementalWalkSat search(&sub.problem, wopts, &rng);
-  search.RunFlips(budget);
+  if (search.RunFlips(budget, patience) < budget &&
+      search.stale_flips() >= patience) {
+    *end = SearchEnd::kStale;
+  }
   comp_cost_[comp] = search.best_cost();
   comp_flips_[comp] = search.flips();
   const std::vector<uint8_t>& best = search.best_truth();

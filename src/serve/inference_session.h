@@ -89,6 +89,9 @@ struct DeltaApplyResult {
   size_t components_total = 0;
   size_t components_dirty = 0;
   uint64_t flips = 0;
+  /// Dirty components whose warm re-search the stagnation rule ended
+  /// before their flip budget ran out (registry: search.stale_stops).
+  uint64_t stale_stops = 0;
   /// Wall clock of the re-search + marginal refresh (grounding time is
   /// in edits.ground_seconds).
   double search_seconds = 0.0;
@@ -288,16 +291,20 @@ class InferenceSession {
     uint64_t mcsat_end_ns = 0;
   };
 
+  /// How one component's search ended: its flip budget (or cost 0, or
+  /// nothing to search), the exact solver, or the warm stagnation rule.
+  enum class SearchEnd : uint8_t { kFlips, kExact, kStale };
+
   /// Searches the given components (and refreshes their marginals),
   /// writing per-component cost/flip slots and the global truth slices.
   /// `cold` selects the initial-assignment policy; warm runs start from
-  /// the previous MAP truth.
+  /// the previous MAP truth and stop once they stagnate.
   void SearchComponents(const std::vector<size_t>& dirty, bool cold,
                         DeltaApplyResult* result,
                         TraceBuilder* trace = nullptr);
   void SearchOneComponent(size_t comp, uint64_t budget, bool cold,
                           uint64_t search_seed, uint64_t mcsat_seed,
-                          ComponentTiming* timing, uint8_t* exact_flag);
+                          ComponentTiming* timing, SearchEnd* end);
 
   /// Closes the root span, pushes the finished trace into the ring,
   /// logs it if the delta breached slow_delta_seconds, and stamps the

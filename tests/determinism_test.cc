@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "datagen/datasets.h"
 #include "exec/tuffy_engine.h"
 #include "ground/bottom_up_grounder.h"
 #include "infer/component_walksat.h"
 #include "mrf/components.h"
+#include "rc_edit_stream.h"
 #include "serve/inference_session.h"
 #include "util/rng.h"
 
@@ -89,6 +93,49 @@ TEST(DeterminismTest, SessionThreadCountInvariantAcrossDeltas) {
   ASSERT_TRUE(parallel.ApplyDelta(delta).ok());
   EXPECT_EQ(serial.truth(), parallel.truth());
   EXPECT_EQ(serial.map_cost(), parallel.map_cost());
+}
+
+TEST(DeterminismTest, SessionThreadCountInvariantWithStaleStops) {
+  // A serving-shaped stream whose warm re-searches end by the stagnation
+  // rule: where a search stops depends only on its own flips, so 1 and 4
+  // threads stay bit-identical after every delta.
+  for (uint64_t seed : {1ull, 4ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RcParams p;
+    p.num_clusters = 6;
+    p.papers_per_cluster = 8;
+    p.labeled_fraction = 0.5;
+    p.seed = seed;
+    auto ds = MakeRcDataset(p);
+    ASSERT_TRUE(ds.ok());
+    EvidenceDb final_evidence;
+    const std::vector<EvidenceDelta> deltas =
+        MakeRcEditStream(ds.value(), p, 200, seed, &final_evidence);
+
+    SessionOptions sopts;
+    sopts.total_flips = 300000;
+    sopts.seed = seed;
+    sopts.num_threads = 1;
+    InferenceSession serial(ds.value().program, sopts);
+    sopts.num_threads = 4;
+    InferenceSession parallel(ds.value().program, sopts);
+    ASSERT_TRUE(serial.Open(ds.value().evidence).ok());
+    ASSERT_TRUE(parallel.Open(ds.value().evidence).ok());
+    uint64_t stale_stops = 0;
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      auto rs = serial.ApplyDelta(deltas[i]);
+      auto rp = parallel.ApplyDelta(deltas[i]);
+      ASSERT_TRUE(rs.ok());
+      ASSERT_TRUE(rp.ok());
+      EXPECT_EQ(rs.value().flips, rp.value().flips) << "delta " << i;
+      EXPECT_EQ(rs.value().stale_stops, rp.value().stale_stops)
+          << "delta " << i;
+      ASSERT_EQ(serial.truth(), parallel.truth()) << "delta " << i;
+      ASSERT_EQ(serial.map_cost(), parallel.map_cost()) << "delta " << i;
+      stale_stops += rs.value().stale_stops;
+    }
+    EXPECT_GT(stale_stops, 0u);
+  }
 }
 
 TEST(DeterminismTest, GroundingThreadCountInvariant) {

@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <string>
 #include <vector>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 #include "datagen/datasets.h"
 #include "exec/tuffy_engine.h"
 #include "infer/exact/exact_solver.h"
 #include "mln/parser.h"
+#include "obs/metrics.h"
 #include "oracle_support.h"
+#include "rc_edit_stream.h"
 #include "serve/delta_grounder.h"
 #include "serve/session_manager.h"
 #include "util/mem_tracker.h"
@@ -551,6 +555,75 @@ TEST(ServeTest, ConcurrentSessionsOnSharedPool) {
   EXPECT_EQ(s1.value()->map_cost(), s2.value()->map_cost());
   EXPECT_NEAR(s1.value()->map_cost(),
               FreshCost(ds.value().program, ds.value().evidence), 1e-6);
+}
+
+/// RC shaped like the serving benchmark's, small enough for a unit test:
+/// clusters of ~40 unknown atoms whose MAP violates soft clauses, so a
+/// warm re-search cannot end at cost 0.
+RcParams StreamRcParams(uint64_t seed) {
+  RcParams p;
+  p.num_clusters = 6;
+  p.papers_per_cluster = 8;
+  p.num_categories = 6;
+  p.labeled_fraction = 0.5;
+  p.seed = seed;
+  return p;
+}
+
+TEST(ServeTest, StaleStopsKeepSessionEqualToFreshAndRecoverable) {
+  Counter* stale_counter =
+      MetricsRegistry::Global().GetCounter("search.stale_stops");
+  for (uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RcParams params = StreamRcParams(seed);
+    auto ds = MakeRcDataset(params);
+    ASSERT_TRUE(ds.ok());
+    const MlnProgram& program = ds.value().program;
+    EvidenceDb final_evidence;
+    const std::vector<EvidenceDelta> deltas =
+        MakeRcEditStream(ds.value(), params, 240, seed, &final_evidence);
+
+    std::string dir = ::testing::TempDir() + "serve_stale_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    SessionOptions opts;
+    opts.total_flips = 300000;
+    opts.seed = seed;
+    opts.wal_dir = dir;
+    opts.wal_fsync = false;
+    opts.snapshot_every = 50;
+    uint64_t stale_stops = 0;
+    const uint64_t counter_before = stale_counter->Value();
+    auto live = std::make_unique<InferenceSession>(program, opts);
+    ASSERT_TRUE(live->Open(ds.value().evidence).ok());
+    for (const EvidenceDelta& delta : deltas) {
+      auto r = live->ApplyDelta(delta);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_LE(r.value().stale_stops, r.value().components_dirty);
+      stale_stops += r.value().stale_stops;
+    }
+    // The stagnation rule really ended warm searches, and the registry
+    // counted exactly the ends the deltas reported.
+    EXPECT_GT(stale_stops, 0u);
+    EXPECT_EQ(stale_counter->Value() - counter_before, stale_stops);
+
+    // Session == fresh: a from-scratch run over the final evidence, with
+    // the same flip budget and seed, reaches exactly the same cost.
+    EngineOptions eopts;
+    eopts.grounding.lazy_closure = false;
+    eopts.search_mode = SearchMode::kComponentAware;
+    eopts.total_flips = opts.total_flips;
+    eopts.seed = seed;
+    TuffyEngine fresh(program, final_evidence, eopts);
+    auto fr = fresh.Run();
+    ASSERT_TRUE(fr.ok()) << fr.status().ToString();
+    EXPECT_EQ(live->map_cost(), fr.value().total_cost);
+
+    // Recovered == live: replaying the WAL re-runs the same early stops.
+    auto recovered = InferenceSession::Recover(program, opts);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered.value()->truth(), live->truth());
+    EXPECT_EQ(recovered.value()->map_cost(), live->map_cost());
+  }
 }
 
 }  // namespace

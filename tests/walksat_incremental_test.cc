@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "infer/problem.h"
@@ -174,6 +175,160 @@ TEST(IncrementalEquivalenceTest, WalkSatDeterministicAcrossRuns) {
   EXPECT_EQ(a.best_truth, b.best_truth);
   EXPECT_EQ(a.flips, b.flips);
   EXPECT_NEAR(p.EvalCost(a.best_truth, opts.hard_weight), a.best_cost, 1e-8);
+}
+
+// ------------------------------------------------- stagnation patience
+
+/// Flips `search` one at a time for `n` flips with no patience and
+/// returns the longest run of non-improving flips that ended in an
+/// improvement: a patience above it stops no search before its last
+/// improvement. Each one-flip call is also a chunk of the unlimited run.
+uint64_t LongestImprovementGap(IncrementalWalkSat* search, uint64_t n) {
+  uint64_t longest = 0;
+  uint64_t before = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (search->RunFlips(1) == 0) break;
+    if (search->stale_flips() == 0) longest = std::max(longest, before);
+    before = search->stale_flips();
+  }
+  return longest;
+}
+
+Problem StagnatingProblem(uint64_t seed) {
+  // Mixed signs and hard clauses: the optimum violates soft clauses, so
+  // cost 0 never ends the search and only the budget or patience can.
+  return RandomProblem(seed, 30, 120);
+}
+
+TEST(StagnationPatienceTest, PatienceAboveLongestGapMatchesUnlimitedRun) {
+  constexpr uint64_t kFlips = 20000;
+  int fired = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Problem p = StagnatingProblem(seed);
+    WalkSatOptions opts;
+    opts.hard_weight = kHardWeight;
+    Rng r_gap(seed), r_full(seed), r_limited(seed);
+    IncrementalWalkSat stepped(&p, opts, &r_gap);
+    const uint64_t longest = LongestImprovementGap(&stepped, kFlips);
+    ASSERT_GT(longest, 0u) << "seed " << seed;
+
+    IncrementalWalkSat full(&p, opts, &r_full);
+    ASSERT_EQ(full.RunFlips(kFlips), kFlips) << "seed " << seed;
+    ASSERT_GT(full.best_cost(), 0.0) << "seed " << seed;
+    IncrementalWalkSat limited(&p, opts, &r_limited);
+    fired += limited.RunFlips(kFlips, longest + 1) < kFlips;
+    EXPECT_EQ(limited.best_cost(), full.best_cost()) << "seed " << seed;
+    EXPECT_EQ(limited.best_truth(), full.best_truth()) << "seed " << seed;
+  }
+  // Where the last improvement came late the budget ends first; the
+  // patience must still have cut most of these searches short.
+  EXPECT_GE(fired, 3);
+}
+
+TEST(StagnationPatienceTest, HaltsAfterExactlyPatienceStaleFlips) {
+  // {a} and {!a} at weight 1: every assignment costs 1, so no flip ever
+  // improves on the start and each one is stale.
+  Problem p;
+  p.num_atoms = 1;
+  SearchClause pos;
+  pos.lits = {MakeLit(0, true)};
+  pos.weight = 1.0;
+  SearchClause neg = pos;
+  neg.lits = {MakeLit(0, false)};
+  p.clauses = {pos, neg};
+  Rng rng(3);
+  WalkSatOptions opts;
+  IncrementalWalkSat search(&p, opts, &rng);
+  EXPECT_EQ(search.RunFlips(1000, 10), 10u);
+  EXPECT_EQ(search.stale_flips(), 10u);
+  // The streak carries across calls: a stopped search stays stopped
+  // under the same patience and resumes under a larger one.
+  EXPECT_EQ(search.RunFlips(1000, 10), 0u);
+  EXPECT_EQ(search.RunFlips(1000, 15), 5u);
+  EXPECT_EQ(search.flips(), 15u);
+  EXPECT_EQ(search.best_cost(), 1.0);
+
+  // On a real search the stop lands exactly `patience` flips after the
+  // last improvement, where an unlimited twin with the same seed agrees.
+  constexpr uint64_t kPatience = 40;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Problem rp = StagnatingProblem(seed);
+    Rng r_limited(seed), r_twin(seed);
+    IncrementalWalkSat limited(&rp, opts, &r_limited);
+    const uint64_t done = limited.RunFlips(1000000, kPatience);
+    ASSERT_LT(done, 1000000u) << "seed " << seed;
+    EXPECT_EQ(limited.stale_flips(), kPatience) << "seed " << seed;
+    IncrementalWalkSat twin(&rp, opts, &r_twin);
+    for (uint64_t i = 0; i < done; ++i) {
+      ASSERT_EQ(twin.RunFlips(1), 1u);
+      if (i + 1 < done) {
+        ASSERT_LT(twin.stale_flips(), kPatience)
+            << "seed " << seed << ": stopped late at flip " << done;
+      }
+    }
+    EXPECT_EQ(twin.stale_flips(), kPatience) << "seed " << seed;
+    EXPECT_EQ(twin.best_cost(), limited.best_cost()) << "seed " << seed;
+    EXPECT_EQ(twin.current_truth(), limited.current_truth()) << "seed " << seed;
+  }
+}
+
+TEST(StagnationPatienceTest, ChunkedCallsEqualOneCall) {
+  // The weighted round-robin scheduler (RunComponentWalkSat) hands a
+  // component its budget in per-round chunks; with or without patience
+  // that must flip exactly like one call.
+  constexpr uint64_t kFlips = 12000;
+  for (uint64_t patience : {IncrementalWalkSat::kNoPatience, uint64_t{300}}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Problem p = StagnatingProblem(seed);
+      WalkSatOptions opts;
+      Rng r_one(seed), r_chunked(seed);
+      IncrementalWalkSat one(&p, opts, &r_one);
+      one.RunFlips(kFlips, patience);
+      IncrementalWalkSat chunked(&p, opts, &r_chunked);
+      const int rounds = 7;
+      for (int round = 0; round < rounds; ++round) {
+        uint64_t chunk = kFlips / rounds;
+        if (round == rounds - 1) chunk = kFlips - chunk * (rounds - 1);
+        chunked.RunFlips(chunk, patience);
+      }
+      EXPECT_EQ(chunked.flips(), one.flips()) << "seed " << seed;
+      EXPECT_EQ(chunked.stale_flips(), one.stale_flips()) << "seed " << seed;
+      EXPECT_EQ(chunked.best_cost(), one.best_cost()) << "seed " << seed;
+      EXPECT_EQ(chunked.best_truth(), one.best_truth()) << "seed " << seed;
+      EXPECT_EQ(chunked.current_truth(), one.current_truth())
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(StagnationPatienceTest, CostZeroStillStopsAtOnce) {
+  // Three satisfiable unit clauses from all-false: the search reaches
+  // cost 0 and stops there, far inside both the budget and the patience.
+  Problem p;
+  p.num_atoms = 3;
+  for (AtomId a = 0; a < 3; ++a) {
+    SearchClause unit;
+    unit.lits = {MakeLit(a, true)};
+    unit.weight = 1.0;
+    p.clauses.push_back(unit);
+  }
+  WalkSatOptions opts;
+  opts.init_random = false;
+  Rng rng(5);
+  IncrementalWalkSat search(&p, opts, &rng);
+  const uint64_t done = search.RunFlips(1000, 500);
+  EXPECT_EQ(search.best_cost(), 0.0);
+  EXPECT_EQ(search.current_cost(), 0.0);
+  EXPECT_EQ(done, 3u);  // every flip of a false atom fixes one clause
+  EXPECT_EQ(search.stale_flips(), 0u);
+  EXPECT_EQ(search.RunFlips(1000, 500), 0u);
+
+  // A warm start that is already optimal costs no flips at all.
+  std::vector<uint8_t> optimal(3, 1);
+  opts.initial = &optimal;
+  IncrementalWalkSat warm(&p, opts, &rng);
+  EXPECT_EQ(warm.RunFlips(1000, 1), 0u);
+  EXPECT_EQ(warm.best_truth(), optimal);
 }
 
 }  // namespace

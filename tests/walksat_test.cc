@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "datagen/datasets.h"
 #include "infer/brute_force.h"
+#include "infer/component_walksat.h"
 #include "infer/problem.h"
 #include "infer/walksat.h"
 #include "util/rng.h"
@@ -288,6 +291,43 @@ TEST(IncrementalWalkSatTest, BestTracksMinimumSeen) {
     EXPECT_NEAR(p.EvalCost(search.best_truth(), opts.hard_weight),
                 search.best_cost(), 1e-9);
   }
+}
+
+// ------------------------------------------------- proportional budgets
+
+TEST(ProportionalBudgetTest, MatchesPlainExpressionWhenItFits) {
+  Rng rng(21);
+  for (int i = 0; i < 10000; ++i) {
+    // Operand sizes spread over the whole 64-bit range.
+    const uint64_t total = rng.Next() >> rng.Uniform(64);
+    const uint64_t part = rng.Next() >> rng.Uniform(64);
+    const uint64_t whole =
+        std::max<uint64_t>(1, rng.Next() >> rng.Uniform(64));
+    uint64_t product = 0;
+    if (__builtin_mul_overflow(total, part, &product)) continue;
+    EXPECT_EQ(ProportionalBudget(total, part, whole), product / whole)
+        << total << " * " << part << " / " << whole;
+  }
+  EXPECT_EQ(ProportionalBudget(8000000, 55, 3000), 146666u);
+  EXPECT_EQ(ProportionalBudget(0, 5, 7), 0u);
+  EXPECT_EQ(ProportionalBudget(7, 0, 7), 0u);
+}
+
+TEST(ProportionalBudgetTest, NoWrapNearUint64Max) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(ProportionalBudget(kMax, 1, 1), kMax);
+  EXPECT_EQ(ProportionalBudget(kMax, 7, 7), kMax);
+  // floor((2^64 - 1) * 3 / 4) = 3 * 2^62 - 1.
+  EXPECT_EQ(ProportionalBudget(kMax, 3, 4), 0xBFFFFFFFFFFFFFFFull);
+  EXPECT_EQ(ProportionalBudget(kMax, 1, kMax), 1u);
+  EXPECT_EQ(ProportionalBudget(kMax, kMax - 1, kMax), kMax - 1);
+  // 1e15 flips, a 20k-atom part of a 26k-atom MRF: the 64-bit product
+  // (2e19) wraps to a much smaller budget; the exact share is 1e16 / 13.
+  const uint64_t total = 1000000000000000ull;
+  EXPECT_NE(total * 20000 / 26000, 769230769230769ull);
+  EXPECT_EQ(ProportionalBudget(total, 20000, 26000), 769230769230769ull);
+  // A part larger than the whole saturates instead of wrapping.
+  EXPECT_EQ(ProportionalBudget(kMax, 2, 1), kMax);
 }
 
 // ---------------------------------------------------------- brute force
