@@ -367,11 +367,10 @@ RunResult RunReplication(const Dataset& ds,
   result.latency = latency.Snapshot();
 
   double follower_cost = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(follower.replica()->mu());
-    InferenceSession* s = follower.replica()->session();
-    if (s != nullptr) follower_cost = s->map_cost();
-  }
+  (void)follower.replica()->Read(session, [&](const InferenceSession& s) {
+    follower_cost = s.map_cost();
+    return Status::OK();
+  });
   result.final_cost = follower_cost;
   result.cost_consistent = std::fabs(follower_cost - primary_cost) <= 1e-6;
   if (!result.cost_consistent) {

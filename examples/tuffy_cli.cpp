@@ -905,7 +905,6 @@ int RunFollow(const CliArgs& args, const MlnProgram& program,
     ServerOptions sopts;
     sopts.port = args.serve_port;
     sopts.replica = follower.replica();
-    sopts.replica_session = fopts.session;
     front = std::make_unique<Server>(program, evidence, sopts);
     Status fs = front->Start();
     if (!fs.ok()) {
@@ -929,11 +928,11 @@ int RunFollow(const CliArgs& args, const MlnProgram& program,
           (st == FollowerState::kStreaming ||
            st == FollowerState::kBootstrapping)) {
         double cost = 0.0;
-        {
-          std::lock_guard<std::mutex> lock(follower.replica()->mu());
-          InferenceSession* s = follower.replica()->session();
-          if (s != nullptr) cost = s->map_cost();
-        }
+        (void)follower.replica()->Read(
+            fopts.session, [&](const InferenceSession& s) {
+              cost = s.map_cost();
+              return Status::OK();
+            });
         std::fprintf(stderr, "replicated to %llu (cost %.4f)\n",
                      (unsigned long long)pos, cost);
         std::fflush(stderr);
@@ -947,6 +946,7 @@ int RunFollow(const CliArgs& args, const MlnProgram& program,
   std::string line;
   int rc = 0;
   ReplicaSession* replica = follower.replica();
+  const std::string& name = fopts.session;
   while (std::getline(std::cin, line)) {
     while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
       line.pop_back();
@@ -966,55 +966,52 @@ int RunFollow(const CliArgs& args, const MlnProgram& program,
                    (unsigned long long)follower.reconnects(),
                    replica->promoted() ? ", promoted" : "");
     } else if (cmd == "cost") {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        std::fprintf(stderr, "no replicated state yet\n");
-      } else {
-        std::fprintf(stderr, "map cost: %.4f\n", s->map_cost());
-      }
+      Status read = replica->Read(name, [&](const InferenceSession& s) {
+        std::fprintf(stderr, "map cost: %.4f\n", s.map_cost());
+        return Status::OK();
+      });
+      if (!read.ok()) std::fprintf(stderr, "no replicated state yet\n");
     } else if (cmd == "query") {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        std::fprintf(stderr, "no replicated state yet\n");
-      } else {
-        auto atoms = ExtractTrueAtoms(program, s->atoms(), s->truth(), rest);
+      Status read = replica->Read(name, [&](const InferenceSession& s) {
+        auto atoms = ExtractTrueAtoms(program, s.atoms(), s.truth(), rest);
         if (!atoms.ok()) {
           std::fprintf(stderr, "%s\n", atoms.status().ToString().c_str());
-        } else {
-          for (const GroundAtom& atom : atoms.value()) {
-            AtomId id;
-            if (s->atoms().Find(atom, &id)) {
-              std::printf("%s\n", s->atoms().AtomName(program, id).c_str());
-            }
-          }
-          std::fflush(stdout);
+          return Status::OK();
         }
-      }
+        for (const GroundAtom& atom : atoms.value()) {
+          AtomId id;
+          if (s.atoms().Find(atom, &id)) {
+            std::printf("%s\n", s.atoms().AtomName(program, id).c_str());
+          }
+        }
+        std::fflush(stdout);
+        return Status::OK();
+      });
+      if (!read.ok()) std::fprintf(stderr, "no replicated state yet\n");
     } else if (cmd == "marginals") {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr || s->marginals().empty()) {
-        std::fprintf(stderr, "no marginals (follow with -marginal and a "
-                             "marginal-tracking primary)\n");
-      } else {
+      Status read = replica->Read(name, [&](const InferenceSession& s) {
+        if (s.marginals().empty()) return Status::NotFound("no marginals");
         auto pid = program.FindPredicate(rest);
         if (!pid.ok()) {
           std::fprintf(stderr, "unknown predicate %s\n", rest.c_str());
-        } else {
-          for (AtomId a = 0; a < s->atoms().num_atoms(); ++a) {
-            if (s->atoms().atom(a).pred != pid.value()) continue;
-            std::printf("%.4f\t%s\n", s->marginals()[a],
-                        s->atoms().AtomName(program, a).c_str());
-          }
-          std::fflush(stdout);
+          return Status::OK();
         }
+        for (AtomId a = 0; a < s.atoms().num_atoms(); ++a) {
+          if (s.atoms().atom(a).pred != pid.value()) continue;
+          std::printf("%.4f\t%s\n", s.marginals()[a],
+                      s.atoms().AtomName(program, a).c_str());
+        }
+        std::fflush(stdout);
+        return Status::OK();
+      });
+      if (!read.ok()) {
+        std::fprintf(stderr, "no marginals (follow with -marginal and a "
+                             "marginal-tracking primary)\n");
       }
     } else if (cmd == "assert" || cmd == "retract") {
       StageEdit(program, cmd, rest, &staged);
     } else if (cmd == "apply") {
-      auto r = replica->ApplyDelta(staged);
+      auto r = replica->ApplyDelta(name, staged);
       if (!r.ok()) {
         // Pre-promotion this is the not-primary refusal: the staged
         // delta survives, ready to re-apply after `promote`.

@@ -103,15 +103,20 @@ Status Server::Start() {
   (void)SetNonBlocking(wake_read_fd_);
   (void)SetNonBlocking(wake_write_fd_);
 
-  SessionManagerOptions mgr;
-  // Search parallelism comes from running whole jobs on distinct
-  // workers; each session's own search runs inline on its worker.
-  mgr.num_threads = 1;
-  mgr.memory_budget_bytes = options_.memory_budget_bytes;
-  mgr.durability_root = options_.durability_root;
-  mgr.snapshot_every = options_.snapshot_every;
-  mgr.wal_fsync = options_.wal_fsync;
-  manager_ = std::make_unique<SessionManager>(mgr);
+  if (options_.replica != nullptr) {
+    sessions_ = options_.replica;
+  } else {
+    SessionManagerOptions mgr;
+    // Search parallelism comes from running whole jobs on distinct
+    // workers; each session's own search runs inline on its worker.
+    mgr.num_threads = 1;
+    mgr.memory_budget_bytes = options_.memory_budget_bytes;
+    mgr.durability_root = options_.durability_root;
+    mgr.snapshot_every = options_.snapshot_every;
+    mgr.wal_fsync = options_.wal_fsync;
+    manager_ = std::make_unique<SessionManager>(mgr);
+    sessions_ = manager_.get();
+  }
   workers_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(options_.num_workers > 0 ? options_.num_workers
                                                    : 1));
@@ -756,55 +761,42 @@ void Server::SweepConnections(double now) {
 // --------------------------------------------------------- job bodies
 
 NetResponse Server::Execute(const NetRequest& request, TraceBuilder* trace) {
-  if (options_.replica != nullptr) return ExecuteReplica(request, trace);
   NetResponse resp;
   resp.request_id = request.request_id;
-  auto error_from = [&](const Status& status) {
-    resp.type = MsgType::kError;
-    resp.error = WireErrorFromStatus(status);
-    resp.retryable = WireErrorRetryable(resp.error);
-    resp.message = status.ToString();
-  };
-
+  const std::string& name = request.session;
+  Status status;
   switch (request.type) {
     case MsgType::kOpenSession: {
       if (request.program_fp != 0 && request.program_fp != program_fp_) {
-        resp.type = MsgType::kError;
-        resp.error = WireError::kInvalidArgument;
-        resp.message = StrFormat(
+        status = Status::InvalidArgument(StrFormat(
             "program fingerprint mismatch: client %llx, server %llx — "
             "the wire carries numeric ids, so both ends must load the "
             "same program",
             (unsigned long long)request.program_fp,
-            (unsigned long long)program_fp_);
+            (unsigned long long)program_fp_));
         break;
       }
-      InferenceSession* session = nullptr;
-      auto existing = manager_->Get(request.session);
-      if (existing.ok()) {
-        // Re-attach: the session survived its previous client.
-        session = existing.value();
-        resp.attached = true;
-      } else {
-        auto opened = manager_->Open(request.session, program_, evidence_,
-                                     options_.session);
-        if (!opened.ok()) {
-          error_from(opened.status());
-          break;
-        }
-        session = opened.value();
+      auto attached =
+          sessions_->OpenOrAttach(name, program_, evidence_, options_.session);
+      if (!attached.ok()) {
+        status = attached.status();
+        break;
       }
-      resp.type = MsgType::kOpenReply;
-      resp.num_atoms = session->atoms().num_atoms();
-      resp.num_clauses = session->clauses().size();
-      resp.num_components = session->num_components();
-      resp.map_cost = session->map_cost();
+      resp.attached = attached.value();
+      status = sessions_->Read(name, [&](const InferenceSession& s) {
+        resp.type = MsgType::kOpenReply;
+        resp.num_atoms = s.atoms().num_atoms();
+        resp.num_clauses = s.clauses().size();
+        resp.num_components = s.num_components();
+        resp.map_cost = s.map_cost();
+        return Status::OK();
+      });
       break;
     }
     case MsgType::kApplyDelta: {
-      auto r = manager_->ApplyDelta(request.session, request.delta, trace);
+      auto r = sessions_->ApplyDelta(name, request.delta, trace);
       if (!r.ok()) {
-        error_from(r.status());
+        status = r.status();
         break;
       }
       const DeltaApplyResult& d = r.value();
@@ -818,71 +810,52 @@ NetResponse Server::Execute(const NetRequest& request, TraceBuilder* trace) {
       break;
     }
     case MsgType::kQueryMap: {
-      auto session = manager_->Get(request.session);
-      if (!session.ok()) {
-        error_from(session.status());
-        break;
-      }
-      resp.type = MsgType::kMapReply;
-      resp.map_cost = session.value()->map_cost();
-      if (!request.predicate.empty()) {
-        auto atoms = ExtractTrueAtoms(program_, session.value()->atoms(),
-                                      session.value()->truth(),
-                                      request.predicate);
-        if (!atoms.ok()) {
-          error_from(atoms.status());
-          break;
-        }
-        resp.atoms = atoms.TakeValue();
-      }
+      status = sessions_->Read(name, [&](const InferenceSession& s) {
+        resp.type = MsgType::kMapReply;
+        resp.map_cost = s.map_cost();
+        if (request.predicate.empty()) return Status::OK();
+        TUFFY_ASSIGN_OR_RETURN(resp.atoms,
+                               ExtractTrueAtoms(program_, s.atoms(), s.truth(),
+                                                request.predicate));
+        return Status::OK();
+      });
       break;
     }
     case MsgType::kQueryMarginals: {
-      auto session = manager_->Get(request.session);
-      if (!session.ok()) {
-        error_from(session.status());
-        break;
-      }
-      const std::vector<double>& marginals = session.value()->marginals();
-      if (marginals.empty()) {
-        error_from(Status::InvalidArgument(
-            "session does not track marginals (server opened it without "
-            "track_marginals)"));
-        break;
-      }
-      PredicateId pid = kInvalidPredicate;
-      if (!request.predicate.empty()) {
-        auto found = program_.FindPredicate(request.predicate);
-        if (!found.ok()) {
-          error_from(found.status());
-          break;
+      status = sessions_->Read(name, [&](const InferenceSession& s) {
+        const std::vector<double>& marginals = s.marginals();
+        if (marginals.empty()) {
+          return Status::InvalidArgument(
+              "session does not track marginals (server opened it without "
+              "track_marginals)");
         }
-        pid = found.value();
-      }
-      resp.type = MsgType::kMarginalsReply;
-      const AtomStore& atoms = session.value()->atoms();
-      for (AtomId a = 0; a < atoms.num_atoms() && a < marginals.size();
-           ++a) {
-        if (pid != kInvalidPredicate && atoms.atom(a).pred != pid) continue;
-        resp.marginals.emplace_back(atoms.atom(a), marginals[a]);
-      }
+        PredicateId pid = kInvalidPredicate;
+        if (!request.predicate.empty()) {
+          TUFFY_ASSIGN_OR_RETURN(pid,
+                                 program_.FindPredicate(request.predicate));
+        }
+        resp.type = MsgType::kMarginalsReply;
+        const AtomStore& atoms = s.atoms();
+        for (AtomId a = 0; a < atoms.num_atoms() && a < marginals.size();
+             ++a) {
+          if (pid != kInvalidPredicate && atoms.atom(a).pred != pid) continue;
+          resp.marginals.emplace_back(atoms.atom(a), marginals[a]);
+        }
+        return Status::OK();
+      });
       break;
     }
     case MsgType::kCloseSession: {
-      Status closed = manager_->Close(request.session);
-      if (!closed.ok()) {
-        error_from(closed);
-        break;
-      }
+      status = sessions_->Close(name);
       resp.type = MsgType::kCloseReply;
       break;
     }
     case MsgType::kRecover: {
       RecoveryStats stats;
-      auto recovered = manager_->Recover(request.session, program_,
-                                         options_.session, &stats);
+      auto recovered =
+          sessions_->Recover(name, program_, options_.session, &stats);
       if (!recovered.ok()) {
-        error_from(recovered.status());
+        status = recovered.status();
         break;
       }
       resp.type = MsgType::kRecoverReply;
@@ -891,45 +864,41 @@ NetResponse Server::Execute(const NetRequest& request, TraceBuilder* trace) {
       break;
     }
     case MsgType::kStats: {
-      auto snap = manager_->Stats(request.session);
-      if (!snap.ok()) {
-        error_from(snap.status());
-        break;
-      }
-      const SessionStatsSnapshot& s = snap.value();
-      resp.type = MsgType::kStatsReply;
-      resp.stats = {
-          {"deltas_applied", static_cast<double>(s.stats.deltas_applied)},
-          {"no_op_deltas", static_cast<double>(s.stats.no_op_deltas)},
-          {"components_researched",
-           static_cast<double>(s.stats.components_researched)},
-          {"flips", static_cast<double>(s.stats.flips)},
-          {"arena_rebuilds", static_cast<double>(s.stats.arena_rebuilds)},
-          {"resident_bytes", static_cast<double>(s.charged_bytes)},
-          {"num_atoms", static_cast<double>(s.num_atoms)},
-          {"num_clauses", static_cast<double>(s.num_clauses)},
-          {"num_components", static_cast<double>(s.num_components)},
-          {"map_cost", s.map_cost},
-      };
+      status = sessions_->Read(name, [&](const InferenceSession& s) {
+        const SessionStats& st = s.stats();
+        resp.type = MsgType::kStatsReply;
+        resp.stats = {
+            {"deltas_applied", static_cast<double>(st.deltas_applied)},
+            {"no_op_deltas", static_cast<double>(st.no_op_deltas)},
+            {"components_researched",
+             static_cast<double>(st.components_researched)},
+            {"flips", static_cast<double>(st.flips)},
+            {"arena_rebuilds", static_cast<double>(st.arena_rebuilds)},
+        };
+        sessions_->AppendOwnerStats(name, &resp.stats);
+        resp.stats.insert(
+            resp.stats.end(),
+            {{"num_atoms", static_cast<double>(s.atoms().num_atoms())},
+             {"num_clauses", static_cast<double>(s.clauses().size())},
+             {"num_components", static_cast<double>(s.num_components())},
+             {"map_cost", s.map_cost()}});
+        return Status::OK();
+      });
       break;
     }
     case MsgType::kTrace: {
       // Routed through the session's lane like any session request, so
       // reading the ring never races an ApplyDelta on this session.
-      auto session = manager_->Get(request.session);
-      if (!session.ok()) {
-        error_from(session.status());
-        break;
-      }
-      resp.type = MsgType::kTraceReply;
-      std::string text;
-      for (const DeltaTrace& t : session.value()->RecentTraces()) {
-        text += t.Render();
-      }
-      if (text.empty()) {
-        text = "no traces recorded for session " + request.session + "\n";
-      }
-      resp.message = std::move(text);
+      status = sessions_->Read(name, [&](const InferenceSession& s) {
+        resp.type = MsgType::kTraceReply;
+        for (const DeltaTrace& t : s.RecentTraces()) {
+          resp.message += t.Render();
+        }
+        if (resp.message.empty()) {
+          resp.message = "no traces recorded for session " + name + "\n";
+        }
+        return Status::OK();
+      });
       break;
     }
     default: {
@@ -939,147 +908,18 @@ NetResponse Server::Execute(const NetRequest& request, TraceBuilder* trace) {
       break;
     }
   }
-  if (request.type == MsgType::kOpenSession ||
-      request.type == MsgType::kCloseSession ||
-      request.type == MsgType::kRecover) {
-    static Gauge* sessions_gauge =
-        MetricsRegistry::Global().GetGauge("net.sessions.open");
-    sessions_gauge->Set(static_cast<int64_t>(manager_->num_sessions()));
-  }
-  return resp;
-}
-
-NetResponse Server::ExecuteReplica(const NetRequest& request,
-                                   TraceBuilder* trace) {
-  (void)trace;  // replica deltas trace inside the session like any other
-  ReplicaSession* replica = options_.replica;
-  NetResponse resp;
-  resp.request_id = request.request_id;
-  auto error_from = [&](const Status& status) {
+  if (!status.ok()) {
     resp.type = MsgType::kError;
     resp.error = WireErrorFromStatus(status);
     resp.retryable = WireErrorRetryable(resp.error);
     resp.message = status.ToString();
-  };
-  if (request.session != options_.replica_session) {
-    error_from(Status::NotFound(StrFormat(
-        "this replica serves only session '%s'",
-        options_.replica_session.c_str())));
-    return resp;
   }
-
-  switch (request.type) {
-    case MsgType::kApplyDelta: {
-      // ReplicaSession does the not-primary gating: before promotion
-      // this maps to kNotPrimary (retryable, names the primary).
-      auto r = replica->ApplyDelta(request.delta);
-      if (!r.ok()) {
-        error_from(r.status());
-        break;
-      }
-      const DeltaApplyResult& d = r.value();
-      resp.type = MsgType::kDeltaReply;
-      resp.no_op = d.edits.no_op;
-      resp.seq = d.seq;
-      resp.components_dirty = d.components_dirty;
-      resp.components_total = d.components_total;
-      resp.flips = d.flips;
-      resp.map_cost = d.map_cost;
-      break;
-    }
-    case MsgType::kOpenSession: {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        error_from(Status::Unavailable(
-            "replica has no state yet (still bootstrapping)"));
-        break;
-      }
-      resp.type = MsgType::kOpenReply;
-      resp.attached = true;  // the replicated state pre-exists any client
-      resp.num_atoms = s->atoms().num_atoms();
-      resp.num_clauses = s->clauses().size();
-      resp.num_components = s->num_components();
-      resp.map_cost = s->map_cost();
-      break;
-    }
-    case MsgType::kQueryMap: {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        error_from(Status::Unavailable("replica has no state yet"));
-        break;
-      }
-      resp.type = MsgType::kMapReply;
-      resp.map_cost = s->map_cost();
-      if (!request.predicate.empty()) {
-        auto atoms = ExtractTrueAtoms(program_, s->atoms(), s->truth(),
-                                      request.predicate);
-        if (!atoms.ok()) {
-          error_from(atoms.status());
-          break;
-        }
-        resp.atoms = atoms.TakeValue();
-      }
-      break;
-    }
-    case MsgType::kQueryMarginals: {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        error_from(Status::Unavailable("replica has no state yet"));
-        break;
-      }
-      const std::vector<double>& marginals = s->marginals();
-      if (marginals.empty()) {
-        error_from(Status::InvalidArgument(
-            "replica session does not track marginals"));
-        break;
-      }
-      PredicateId pid = kInvalidPredicate;
-      if (!request.predicate.empty()) {
-        auto found = program_.FindPredicate(request.predicate);
-        if (!found.ok()) {
-          error_from(found.status());
-          break;
-        }
-        pid = found.value();
-      }
-      resp.type = MsgType::kMarginalsReply;
-      const AtomStore& atoms = s->atoms();
-      for (AtomId a = 0; a < atoms.num_atoms() && a < marginals.size();
-           ++a) {
-        if (pid != kInvalidPredicate && atoms.atom(a).pred != pid) continue;
-        resp.marginals.emplace_back(atoms.atom(a), marginals[a]);
-      }
-      break;
-    }
-    case MsgType::kStats: {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        error_from(Status::Unavailable("replica has no state yet"));
-        break;
-      }
-      resp.type = MsgType::kStatsReply;
-      resp.stats = {
-          {"deltas_applied", static_cast<double>(s->stats().deltas_applied)},
-          {"flips", static_cast<double>(s->stats().flips)},
-          {"num_atoms", static_cast<double>(s->atoms().num_atoms())},
-          {"num_clauses", static_cast<double>(s->clauses().size())},
-          {"num_components", static_cast<double>(s->num_components())},
-          {"map_cost", s->map_cost()},
-          {"position", static_cast<double>(replica->position())},
-          {"promoted", replica->promoted() ? 1.0 : 0.0},
-      };
-      break;
-    }
-    default: {
-      error_from(Status::InvalidArgument(
-          "request not supported on a replica (queries, deltas, stats "
-          "only)"));
-      break;
-    }
+  if (manager_ != nullptr && (request.type == MsgType::kOpenSession ||
+                              request.type == MsgType::kCloseSession ||
+                              request.type == MsgType::kRecover)) {
+    static Gauge* sessions_gauge =
+        MetricsRegistry::Global().GetGauge("net.sessions.open");
+    sessions_gauge->Set(static_cast<int64_t>(manager_->num_sessions()));
   }
   return resp;
 }

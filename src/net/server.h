@@ -61,10 +61,9 @@ struct ServerOptions {
   /// Replica fronting: when set, the server serves this hot standby
   /// instead of a SessionManager — queries read the replicated state,
   /// deltas are refused with kNotPrimary until the replica is promoted,
-  /// and only the session named `replica_session` exists. The pointer
-  /// must outlive the server.
+  /// and only the replicated session exists. The pointer must outlive
+  /// the server.
   ReplicaSession* replica = nullptr;
-  std::string replica_session = "cli";
 };
 
 /// Point-in-time server-wide counters (see Server::metrics).
@@ -94,7 +93,8 @@ struct ServerMetrics {
 };
 
 /// The network serving front end: a poll-based async TCP server that
-/// exposes a SessionManager over the framed binary protocol in
+/// exposes a SessionManager (or a hot-standby ReplicaSession, through
+/// the same SessionAccess interface) over the framed binary protocol in
 /// net/protocol.h. One event-loop thread owns every socket: it accepts,
 /// reads, decodes frames, and writes responses, never blocking on I/O
 /// or on session work. Decoded requests become jobs on a bounded queue
@@ -195,11 +195,10 @@ class Server {
   /// PumpLane). The worker builds the delta trace — lane queue wait
   /// span, then the session's ApplyDelta spans — and records latency.
   void SubmitJob(Job job);
-  /// Worker-side: executes one request against the session manager.
-  /// `trace` is non-null only for kApplyDelta jobs.
+  /// Worker-side: executes one request against sessions_, the same way
+  /// for a primary and a replica front. `trace` is non-null only for
+  /// kApplyDelta jobs.
   NetResponse Execute(const NetRequest& request, TraceBuilder* trace);
-  /// Worker-side request execution in replica-fronting mode.
-  NetResponse ExecuteReplica(const NetRequest& request, TraceBuilder* trace);
   NetResponse ServerStatsResponse(uint64_t request_id);
   void Wake();
 
@@ -225,7 +224,10 @@ class Server {
   ServerOptions options_;
   uint64_t program_fp_ = 0;
 
+  /// Owns the sessions of a primary; null on a replica front.
   std::unique_ptr<SessionManager> manager_;
+  /// Where requests go: manager_ or options_.replica.
+  SessionAccess* sessions_ = nullptr;
   std::unique_ptr<ThreadPool> workers_;
 
   int listen_fd_ = -1;

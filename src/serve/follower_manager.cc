@@ -28,7 +28,7 @@ const char* FollowerStateName(FollowerState s) {
 FollowerManager::FollowerManager(const MlnProgram& program,
                                  FollowerOptions options)
     : options_(std::move(options)),
-      replica_(program, options_.session_options,
+      replica_(program, options_.session_options, options_.session,
                options_.primary_host + ":" +
                    std::to_string(options_.primary_port)) {}
 

@@ -8,10 +8,11 @@
 namespace tuffy {
 
 ReplicaSession::ReplicaSession(const MlnProgram& program,
-                               SessionOptions options,
+                               SessionOptions options, std::string name,
                                std::string primary_addr)
     : program_(program),
       options_(std::move(options)),
+      name_(std::move(name)),
       primary_addr_(std::move(primary_addr)) {}
 
 Result<bool> ReplicaSession::RecoverLocal(ThreadPool* shared_pool,
@@ -73,17 +74,74 @@ Result<DeltaApplyResult> ReplicaSession::ApplyShippedRecord(
   return applied;
 }
 
+Status ReplicaSession::CheckName(const std::string& name) const {
+  if (name == name_) return Status::OK();
+  return Status::NotFound(
+      StrFormat("this replica serves only session '%s'", name_.c_str()));
+}
+
+Status ReplicaSession::Read(
+    const std::string& name,
+    const std::function<Status(const InferenceSession&)>& fn) {
+  TUFFY_RETURN_IF_ERROR(CheckName(name));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (session_ == nullptr) {
+    return Status::Unavailable("replica has no state yet");
+  }
+  return fn(*session_);
+}
+
 Result<DeltaApplyResult> ReplicaSession::ApplyDelta(
-    const EvidenceDelta& delta) {
-  if (!promoted_.load(std::memory_order_acquire)) return NotPrimaryError();
+    const std::string& name, const EvidenceDelta& delta,
+    TraceBuilder* trace) {
+  TUFFY_RETURN_IF_ERROR(CheckName(name));
+  if (!promoted_.load(std::memory_order_acquire)) {
+    return Status::Unavailable(
+        StrFormat("not primary; apply deltas at %s", primary_addr_.c_str()));
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (session_ == nullptr) {
     return Status::Internal("promoted replica lost its session");
   }
-  Result<DeltaApplyResult> applied = session_->ApplyDelta(delta);
+  Result<DeltaApplyResult> applied = session_->ApplyDelta(delta, trace);
   position_.store(session_->wal_base() + session_->wal_records(),
                   std::memory_order_release);
   return applied;
+}
+
+Result<bool> ReplicaSession::OpenOrAttach(const std::string& name,
+                                          const MlnProgram& /*program*/,
+                                          const EvidenceDb& /*evidence*/,
+                                          SessionOptions /*options*/) {
+  TUFFY_RETURN_IF_ERROR(CheckName(name));
+  if (!has_state()) {
+    return Status::Unavailable(
+        "replica has no state yet (still bootstrapping)");
+  }
+  return true;  // the replicated state pre-exists any client
+}
+
+Status ReplicaSession::Close(const std::string& name) {
+  TUFFY_RETURN_IF_ERROR(CheckName(name));
+  return Status::InvalidArgument(
+      "a replica does not close its session; it lives as long as the "
+      "follower");
+}
+
+Result<InferenceSession*> ReplicaSession::Recover(
+    const std::string& name, const MlnProgram& /*program*/,
+    SessionOptions /*options*/, RecoveryStats* /*stats*/) {
+  TUFFY_RETURN_IF_ERROR(CheckName(name));
+  return Status::InvalidArgument(
+      "a replica recovers its own state when the follower starts; recover "
+      "at the primary " + primary_addr_);
+}
+
+void ReplicaSession::AppendOwnerStats(const std::string& name,
+                                      StatList* out) const {
+  if (name != name_) return;
+  out->emplace_back("position", static_cast<double>(position()));
+  out->emplace_back("promoted", promoted() ? 1.0 : 0.0);
 }
 
 Status ReplicaSession::Promote() {
@@ -106,11 +164,6 @@ Status ReplicaSession::Promote() {
       (unsigned long long)position_.load(std::memory_order_relaxed),
       primary_addr_.c_str());
   return Status::OK();
-}
-
-Status ReplicaSession::NotPrimaryError() const {
-  return Status::Unavailable(
-      StrFormat("not primary; apply deltas at %s", primary_addr_.c_str()));
 }
 
 }  // namespace tuffy

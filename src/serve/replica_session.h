@@ -8,6 +8,7 @@
 #include <string>
 
 #include "serve/inference_session.h"
+#include "serve/session_access.h"
 
 namespace tuffy {
 
@@ -22,17 +23,22 @@ namespace tuffy {
 /// the docs caveat: this layer cannot tell a dead primary from a
 /// partitioned one).
 ///
+/// As a SessionAccess it serves exactly one session, the one it
+/// replicates: any other name is NotFound, Close and Recover are
+/// InvalidArgument, and OpenOrAttach attaches once state has arrived.
+///
 /// Thread model: the follower's streaming thread applies shipped records
 /// while server workers and the REPL query concurrently, so every state
-/// access goes through mu_ (queries included — grounder read paths are
+/// access goes through mu_ (Read included — grounder read paths are
 /// not lock-free against a concurrent apply). position()/promoted()/
 /// has_state() are atomics for lock-free monitoring.
-class ReplicaSession {
+class ReplicaSession : public SessionAccess {
  public:
+  /// `name` is the replicated session's name on the primary.
   /// `primary_addr` ("host:port") is advertising only — it rides in the
   /// not-primary error so clients know where writes go.
   ReplicaSession(const MlnProgram& program, SessionOptions options,
-                 std::string primary_addr);
+                 std::string name, std::string primary_addr);
 
   /// Warm restart: if options.wal_dir holds durable state, Recover it
   /// and resume from its position. Returns true when state was
@@ -53,11 +59,34 @@ class ReplicaSession {
   /// the position still advances, exactly like recovery replay.
   Result<DeltaApplyResult> ApplyShippedRecord(const std::string& payload);
 
+  /// Runs `fn` under the replica lock; Unavailable while cold.
+  Status Read(const std::string& name,
+              const std::function<Status(const InferenceSession&)>& fn)
+      override;
+
   /// Client-facing delta entry point. Before promotion: refused with
   /// Status::Unavailable (wire: kNotPrimary, retryable) naming the
   /// primary. After: applied to the local session, which logs it as its
   /// own — the replica's timeline continues the primary's.
-  Result<DeltaApplyResult> ApplyDelta(const EvidenceDelta& delta);
+  Result<DeltaApplyResult> ApplyDelta(const std::string& name,
+                                      const EvidenceDelta& delta,
+                                      TraceBuilder* trace = nullptr) override;
+
+  /// Attaches (returns true) once replicated state exists; the program,
+  /// evidence and options are the primary's business and go unused.
+  Result<bool> OpenOrAttach(const std::string& name,
+                            const MlnProgram& program,
+                            const EvidenceDb& evidence,
+                            SessionOptions options) override;
+  Status Close(const std::string& name) override;
+  Result<InferenceSession*> Recover(const std::string& name,
+                                    const MlnProgram& program,
+                                    SessionOptions options,
+                                    RecoveryStats* stats = nullptr) override;
+
+  /// position and promoted (1 or 0).
+  void AppendOwnerStats(const std::string& name,
+                        StatList* out) const override;
 
   /// Seals the local WAL (fsync) and flips the session writable.
   /// InvalidArgument when no state has arrived yet; AlreadyExists on a
@@ -76,21 +105,16 @@ class ReplicaSession {
   }
   const std::string& primary_addr() const { return primary_addr_; }
 
-  /// The not-primary refusal, shared by every write path.
-  Status NotPrimaryError() const;
-
-  /// Direct state access for queries. Callers must hold mu() for the
-  /// whole read (the streaming thread mutates between deltas) and must
-  /// check session() for null while cold.
-  std::mutex& mu() const { return mu_; }
-  InferenceSession* session() { return session_.get(); }
-
  private:
+  /// NotFound unless `name` is the replicated session.
+  Status CheckName(const std::string& name) const;
+
   const MlnProgram& program_;
   SessionOptions options_;
+  std::string name_;
   std::string primary_addr_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::unique_ptr<InferenceSession> session_;
   std::atomic<bool> promoted_{false};
   std::atomic<bool> has_state_{false};

@@ -128,38 +128,60 @@ Result<InferenceSession*> SessionManager::Get(const std::string& name) const {
   return it->second.session.get();
 }
 
+Result<InferenceSession*> SessionManager::Pin(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(name);
+  if (it == sessions_.end() || it->second.session == nullptr) {
+    return Status::NotFound("no session: " + name);
+  }
+  ++it->second.in_flight;
+  return it->second.session.get();
+}
+
+void SessionManager::Unpin(const std::string& name, bool remeasured,
+                           size_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(name);
+  if (it == sessions_.end()) return;
+  if (--it->second.in_flight == 0) drained_.notify_all();
+  if (remeasured) Recharge(&it->second, bytes);
+}
+
+Status SessionManager::Read(
+    const std::string& name,
+    const std::function<Status(const InferenceSession&)>& fn) {
+  TUFFY_ASSIGN_OR_RETURN(InferenceSession * session, Pin(name));
+  Status status = fn(*session);
+  Unpin(name, /*remeasured=*/false, 0);
+  return status;
+}
+
+Result<bool> SessionManager::OpenOrAttach(const std::string& name,
+                                          const MlnProgram& program,
+                                          const EvidenceDb& evidence,
+                                          SessionOptions options) {
+  // Re-attach: the session survived its previous client.
+  if (Get(name).ok()) return true;
+  TUFFY_RETURN_IF_ERROR(
+      Open(name, program, evidence, std::move(options)).status());
+  return false;
+}
+
 Result<DeltaApplyResult> SessionManager::ApplyDelta(
     const std::string& name, const EvidenceDelta& delta,
     TraceBuilder* trace) {
-  InferenceSession* session = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(name);
-    if (it == sessions_.end() || it->second.session == nullptr) {
-      return Status::NotFound("no session: " + name);
-    }
-    session = it->second.session.get();
-    ++it->second.in_flight;  // pin against Close while we run unlocked
-  }
-  // The delta runs outside the map lock so independent sessions proceed
-  // concurrently on the shared pool. Concurrent deltas to the *same*
-  // session are the caller's race, exactly as with any storage engine
-  // handle; Close, however, is safe — it drains the pin.
+  // The delta runs outside the map lock, pinned against Close, so
+  // independent sessions proceed concurrently on the shared pool.
+  // Concurrent deltas to the *same* session are the caller's race,
+  // exactly as with any storage engine handle.
+  TUFFY_ASSIGN_OR_RETURN(InferenceSession * session, Pin(name));
   Result<DeltaApplyResult> result = session->ApplyDelta(delta, trace);
   // Re-measuring walks the whole resident model (EstimateBytes is
   // O(clauses + atoms)), so do it while still pinned but *before*
   // re-taking the manager lock, and skip it when the delta verifiably
   // changed nothing.
   const bool remeasure = result.ok() && !result.value().edits.no_op;
-  const size_t bytes = remeasure ? session->EstimateBytes() : 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(name);
-    if (it != sessions_.end()) {
-      if (--it->second.in_flight == 0) drained_.notify_all();
-      if (remeasure) Recharge(&it->second, bytes);
-    }
-  }
+  Unpin(name, remeasure, remeasure ? session->EstimateBytes() : 0);
   return result;
 }
 
@@ -185,22 +207,13 @@ Status SessionManager::Close(const std::string& name) {
   return Status::OK();
 }
 
-Result<SessionStatsSnapshot> SessionManager::Stats(
-    const std::string& name) const {
+void SessionManager::AppendOwnerStats(const std::string& name,
+                                      StatList* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(name);
-  if (it == sessions_.end() || it->second.session == nullptr) {
-    return Status::NotFound("no session: " + name);
-  }
-  const InferenceSession& session = *it->second.session;
-  SessionStatsSnapshot snap;
-  snap.stats = session.stats();
-  snap.charged_bytes = it->second.charged_bytes;
-  snap.num_atoms = session.atoms().num_atoms();
-  snap.num_clauses = session.clauses().size();
-  snap.num_components = session.num_components();
-  snap.map_cost = session.map_cost();
-  return snap;
+  if (it == sessions_.end()) return;
+  out->emplace_back("resident_bytes",
+                    static_cast<double>(it->second.charged_bytes));
 }
 
 size_t SessionManager::num_sessions() const {

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "serve/inference_session.h"
+#include "serve/session_access.h"
 #include "util/thread_pool.h"
 
 namespace tuffy {
@@ -36,27 +37,13 @@ struct SessionManagerOptions {
   bool wal_fsync = true;
 };
 
-/// Point-in-time counters of one managed session, for operator surfaces
-/// (the network front end's kStats message, the CLI). The session-level
-/// fields are read from the live InferenceSession, so a caller that may
-/// race with ApplyDelta on the same session must serialize — the net
-/// server's one-in-flight-job-per-session lane provides exactly that.
-struct SessionStatsSnapshot {
-  SessionStats stats;
-  /// Manager-side admission charge (last re-measured resident bytes) —
-  /// cheap to read, no model walk.
-  size_t charged_bytes = 0;
-  size_t num_atoms = 0;
-  size_t num_clauses = 0;
-  size_t num_components = 0;
-  double map_cost = 0.0;
-};
-
 /// Owns the concurrent serving state: named long-lived sessions, the
 /// shared ThreadPool their dirty-component re-search and MC-SAT refresh
 /// run on, and MemTracker-backed admission control over resident session
-/// bytes (charged to MemCategory::kSearch).
-class SessionManager {
+/// bytes (charged to MemCategory::kSearch). It is the primary's
+/// SessionAccess: the network server reaches sessions only through that
+/// interface.
+class SessionManager : public SessionAccess {
  public:
   explicit SessionManager(SessionManagerOptions options);
   ~SessionManager();
@@ -81,28 +68,42 @@ class SessionManager {
   Result<InferenceSession*> Recover(const std::string& name,
                                     const MlnProgram& program,
                                     SessionOptions options,
-                                    RecoveryStats* stats = nullptr);
+                                    RecoveryStats* stats = nullptr) override;
 
   /// Read access to a session. The pointer stays valid until Close; a
-  /// caller that may race with Close must route work through ApplyDelta
-  /// (which pins the session in-flight) rather than hold this pointer.
+  /// caller that may race with Close must route work through Read or
+  /// ApplyDelta (which pin the session in-flight) rather than hold this
+  /// pointer.
   Result<InferenceSession*> Get(const std::string& name) const;
+
+  /// Pins the session in-flight (Close waits) and runs `fn` on it
+  /// outside the manager lock.
+  Status Read(const std::string& name,
+              const std::function<Status(const InferenceSession&)>& fn)
+      override;
+
+  /// Attaches to the live session of that name, or Opens it.
+  Result<bool> OpenOrAttach(const std::string& name,
+                            const MlnProgram& program,
+                            const EvidenceDb& evidence,
+                            SessionOptions options) override;
 
   /// Applies a delta to the named session and re-measures its resident
   /// charge. `trace`, if non-null, collects the delta's lifecycle spans
   /// (see InferenceSession::ApplyDelta).
   Result<DeltaApplyResult> ApplyDelta(const std::string& name,
                                       const EvidenceDelta& delta,
-                                      TraceBuilder* trace = nullptr);
+                                      TraceBuilder* trace = nullptr) override;
 
   /// Closes the session, releasing its memory charge. Blocks until
   /// in-flight ApplyDelta calls on the session drain (they hold a pin,
   /// not the manager lock), so teardown never races live work.
-  Status Close(const std::string& name);
+  Status Close(const std::string& name) override;
 
-  /// Counters of the named session (see SessionStatsSnapshot's racing
-  /// caveat). NotFound if absent.
-  Result<SessionStatsSnapshot> Stats(const std::string& name) const;
+  /// resident_bytes: the last re-measured admission charge, cheap to
+  /// read (no model walk).
+  void AppendOwnerStats(const std::string& name,
+                        StatList* out) const override;
 
   size_t num_sessions() const;
   /// Summed measured resident bytes across open sessions.
@@ -112,12 +113,17 @@ class SessionManager {
   struct Entry {
     std::unique_ptr<InferenceSession> session;
     size_t charged_bytes = 0;
-    /// ApplyDelta calls currently running on this session; Close waits
-    /// for zero before destroying it.
+    /// Read and ApplyDelta calls currently running on this session;
+    /// Close waits for zero before destroying it.
     int in_flight = 0;
   };
 
   void Recharge(Entry* entry, size_t bytes);
+
+  /// Pins the named session in-flight, or NotFound. Unpin releases it
+  /// and, with `remeasured`, re-charges it at `bytes`.
+  Result<InferenceSession*> Pin(const std::string& name);
+  void Unpin(const std::string& name, bool remeasured, size_t bytes);
 
   /// Stamps the manager-level durability policy (per-session wal_dir
   /// under durability_root, cadence, fsync) into `options`. No-op when

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "durability/snapshot.h"
 #include "mln/parser.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -190,9 +191,14 @@ class ReplTest : public ::testing::Test {
 
   void ExpectReplicaMatches(FollowerManager& follower,
                             InferenceSession& want) {
-    std::lock_guard<std::mutex> lock(follower.replica()->mu());
-    ASSERT_NE(follower.replica()->session(), nullptr);
-    ExpectBitIdentical(*follower.replica()->session(), want);
+    // EvalCurrentCost rebuilds a cached arena, so the helper takes a
+    // mutable session; Read holds the replica lock for the whole check.
+    Status read = follower.replica()->Read(
+        kSession, [&](const InferenceSession& got) {
+          ExpectBitIdentical(const_cast<InferenceSession&>(got), want);
+          return Status::OK();
+        });
+    ASSERT_TRUE(read.ok()) << read.ToString();
   }
 
   MlnProgram program_;
@@ -329,7 +335,7 @@ TEST_F(ReplTest, PromoteThenContinueMatchesNeverFailedPrimary) {
   server_->Stop();
   ASSERT_TRUE(WaitFor([&] { return follower->reconnects() >= 1; }));
 
-  auto refused = follower->replica()->ApplyDelta(deltas_.back());
+  auto refused = follower->replica()->ApplyDelta(kSession, deltas_.back());
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
   const std::string msg = refused.status().ToString();
@@ -342,7 +348,7 @@ TEST_F(ReplTest, PromoteThenContinueMatchesNeverFailedPrimary) {
   EXPECT_EQ(promoted_at.value(), deltas_.size() - 1);
   EXPECT_EQ(follower->state(), FollowerState::kPromoted);
 
-  auto cont = follower->replica()->ApplyDelta(deltas_.back());
+  auto cont = follower->replica()->ApplyDelta(kSession, deltas_.back());
   ASSERT_TRUE(cont.ok()) << cont.status().ToString();
 
   auto twin = Twin(deltas_.size());
@@ -396,7 +402,6 @@ TEST_F(ReplTest, NotPrimaryOverTheWireUntilPromotion) {
 
   ServerOptions fo;
   fo.replica = follower->replica();
-  fo.replica_session = kSession;
   Server front(program_, evidence_, fo);
   ASSERT_TRUE(front.Start().ok());
   Client fc;
@@ -443,6 +448,109 @@ TEST_F(ReplTest, NotPrimaryOverTheWireUntilPromotion) {
 
   auto twin = Twin(deltas_.size());
   ExpectReplicaMatches(*follower, *twin);
+  front.Stop();
+  server_->Stop();
+}
+
+// A replica front answers kOpenSession only for a client that loaded
+// the same program: the wire carries numeric ids, so a mismatched
+// fingerprint is refused exactly as the primary refuses it.
+TEST_F(ReplTest, ReplicaFrontChecksProgramFingerprint) {
+  StartPrimary();
+  ApplyOnPrimary(0);
+  auto follower = MakeFollower(MakeTempDir("ffp") + "/" + kSession);
+  ASSERT_TRUE(follower->Start().ok());
+  ASSERT_TRUE(WaitFor([&] { return follower->position() == 1; }));
+
+  ServerOptions fo;
+  fo.replica = follower->replica();
+  Server front(program_, evidence_, fo);
+  ASSERT_TRUE(front.Start().ok());
+  Client fc;
+  ASSERT_TRUE(fc.Connect("127.0.0.1", front.port()).ok());
+
+  auto mismatched = fc.OpenSession(kSession, /*program_fp=*/12345);
+  ASSERT_TRUE(mismatched.ok());
+  EXPECT_EQ(mismatched.value().type, MsgType::kError);
+  EXPECT_EQ(mismatched.value().error, WireError::kInvalidArgument);
+  EXPECT_FALSE(mismatched.value().retryable);
+
+  auto matched = fc.OpenSession(kSession, ProgramFingerprint(program_));
+  ASSERT_TRUE(matched.ok());
+  ASSERT_EQ(matched.value().type, MsgType::kOpenReply)
+      << matched.value().message;
+  EXPECT_TRUE(matched.value().attached);
+  front.Stop();
+  follower->Stop();
+  server_->Stop();
+}
+
+// A replica front serves the whole read surface the primary does —
+// kStats with the replica's position and promotion flag, kTrace — and
+// refuses close and recover. After promotion a delta sent through the
+// front is traced like a primary's: the server's lane-wait span and
+// the session's apply_delta span come back over kTrace.
+TEST_F(ReplTest, ReplicaFrontServesStatsAndTraceAndRefusesLifecycle) {
+  StartPrimary();
+  for (size_t i = 0; i + 1 < deltas_.size(); ++i) ApplyOnPrimary(i);
+  auto follower = MakeFollower(MakeTempDir("ftrace") + "/" + kSession);
+  ASSERT_TRUE(follower->Start().ok());
+  ASSERT_TRUE(
+      WaitFor([&] { return follower->position() == deltas_.size() - 1; }));
+
+  ServerOptions fo;
+  fo.replica = follower->replica();
+  Server front(program_, evidence_, fo);
+  ASSERT_TRUE(front.Start().ok());
+  Client fc;
+  ASSERT_TRUE(fc.Connect("127.0.0.1", front.port()).ok());
+
+  auto stat = [](const NetResponse& r, const std::string& key) {
+    for (const auto& [k, v] : r.stats) {
+      if (k == key) return v;
+    }
+    ADD_FAILURE() << "missing stats key " << key;
+    return -1.0;
+  };
+  auto stats = fc.Stats(kSession);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats.value().type, MsgType::kStatsReply) << stats.value().message;
+  EXPECT_EQ(stat(stats.value(), "position"),
+            static_cast<double>(deltas_.size() - 1));
+  EXPECT_EQ(stat(stats.value(), "promoted"), 0.0);
+  for (const char* key : {"deltas_applied", "flips", "num_atoms",
+                          "num_clauses", "num_components", "map_cost"}) {
+    stat(stats.value(), key);
+  }
+
+  auto quiet = fc.Trace(kSession);
+  ASSERT_TRUE(quiet.ok());
+  EXPECT_EQ(quiet.value().type, MsgType::kTraceReply) << quiet.value().message;
+
+  for (auto refused : {fc.CloseSession(kSession), fc.Recover(kSession)}) {
+    ASSERT_TRUE(refused.ok());
+    EXPECT_EQ(refused.value().type, MsgType::kError);
+    EXPECT_EQ(refused.value().error, WireError::kInvalidArgument);
+  }
+
+  ASSERT_TRUE(follower->Promote().ok());
+  auto d = fc.ApplyDelta(kSession, deltas_.back());
+  ASSERT_TRUE(d.ok());
+  ASSERT_EQ(d.value().type, MsgType::kDeltaReply) << d.value().message;
+
+  auto trace = fc.Trace(kSession);
+  ASSERT_TRUE(trace.ok());
+  ASSERT_EQ(trace.value().type, MsgType::kTraceReply) << trace.value().message;
+  const std::string& spans = trace.value().message;
+  EXPECT_NE(spans.find("apply_delta"), std::string::npos) << spans;
+  EXPECT_NE(spans.find("net.lane.wait"), std::string::npos) << spans;
+
+  auto after = fc.Stats(kSession);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after.value().type, MsgType::kStatsReply);
+  EXPECT_EQ(stat(after.value(), "promoted"), 1.0);
+  EXPECT_EQ(stat(after.value(), "position"),
+            static_cast<double>(deltas_.size()));
   front.Stop();
   server_->Stop();
 }
