@@ -9,12 +9,12 @@
 // hand-rolled printf format strings — a missing quote or comma in one
 // of those silently corrupts the whole line for downstream parsers.
 //
-// Rows can also stamp a metrics-registry delta: capture a baseline with
+// Rows can also stamp the metrics registry: capture a baseline with
 // MetricsBaseline() before the measured region, then .Metrics(base)
-// appends {"metrics":{...}} holding every registry counter/histogram
-// sample that moved since — WAL appends, grounding rows, search flips —
-// tying each BENCH_JSON row to what the system actually did, not just
-// how long it took.
+// appends {"metrics":{...}} holding every counter/histogram sample that
+// moved since (WAL appends, grounding rows, search flips) and the level
+// of the gauges, tying each BENCH_JSON row to what the system actually
+// did, not just how long it took.
 
 #include <cinttypes>
 #include <cstdint>
@@ -74,8 +74,10 @@ class BenchJson {
     return *this;
   }
 
-  /// Appends "metrics":{name:delta,...} — every registry sample whose
-  /// value moved since `base` (new names count from zero). Benches run
+  /// Appends "metrics":{name:value,...} — every counter and histogram
+  /// sample that moved since `base`, as its delta (new names count from
+  /// zero), and every gauge that moved or is not at zero, at its current
+  /// level (a difference of two levels is no level at all). Benches run
   /// with metrics enabled by default, so this is the per-row account of
   /// wal/ground/search activity.
   BenchJson& Metrics(const std::vector<MetricSample>& base) {
@@ -90,15 +92,15 @@ class BenchJson {
           break;
         }
       }
-      const double delta = s.value - before;
-      if (delta == 0.0) continue;
+      if (s.value == before && (!s.gauge || s.value == 0.0)) continue;
+      const double value = s.gauge ? s.value : s.value - before;
       if (!first) out_ += ',';
       first = false;
       out_ += '"';
       out_ += s.name;
       out_ += "\":";
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", delta);
+      std::snprintf(buf, sizeof(buf), "%.6g", value);
       out_ += buf;
     }
     out_ += '}';

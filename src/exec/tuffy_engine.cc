@@ -149,42 +149,42 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
       int batch_index = 0;
       for (const std::vector<size_t>& batch : batches) {
         if (batch.empty()) continue;
-        // Load this batch's clauses (through the warehouse if enabled).
-        std::vector<uint32_t> batch_clause_ids;
         uint64_t batch_atoms = 0;
         uint64_t batch_size = 0;
         for (size_t comp : batch) {
-          batch_clause_ids.insert(batch_clause_ids.end(),
-                                  components.clauses[comp].begin(),
-                                  components.clauses[comp].end());
           batch_atoms += components.atoms[comp].size();
           batch_size += sizes[comp];
         }
-        Timer load_timer;
-        std::vector<GroundClause> batch_clauses;
-        if (warehouse != nullptr) {
-          TUFFY_ASSIGN_OR_RETURN(batch_clauses,
-                                 warehouse->Load(batch_clause_ids));
-        } else {
-          batch_clauses.reserve(batch_clause_ids.size());
-          for (uint32_t ci : batch_clause_ids) {
-            batch_clauses.push_back(clauses[ci]);
-          }
-        }
-        result->load_seconds += load_timer.ElapsedSeconds();
-
-        // Batch-local component set (clause ids index batch_clauses).
+        // Through the warehouse (the paper's loading baseline) the batch's
+        // clauses are loaded into a copy indexed by batch-local ids;
+        // otherwise the search reads the grounding's clauses in place by
+        // their original ids. BuildSubProblem picks a component's clauses
+        // by id in list order, so both give the same sub-problems. A
+        // component lies in one batch only, so its clause list moves.
         ComponentSet batch_components;
         batch_components.atoms.reserve(batch.size());
-        batch_components.clauses.resize(batch.size());
-        uint32_t next_clause = 0;
-        for (size_t k = 0; k < batch.size(); ++k) {
-          size_t comp = batch[k];
+        batch_components.clauses.reserve(batch.size());
+        for (size_t comp : batch) {
           batch_components.atoms.push_back(components.atoms[comp]);
-          for (size_t j = 0; j < components.clauses[comp].size(); ++j) {
-            batch_components.clauses[k].push_back(next_clause++);
-          }
+          batch_components.clauses.push_back(
+              std::move(components.clauses[comp]));
         }
+        std::vector<GroundClause> loaded;
+        if (warehouse != nullptr) {
+          std::vector<uint32_t> batch_clause_ids;
+          uint32_t next_clause = 0;
+          for (std::vector<uint32_t>& ids : batch_components.clauses) {
+            for (uint32_t& id : ids) {
+              batch_clause_ids.push_back(id);
+              id = next_clause++;
+            }
+          }
+          Timer load_timer;
+          TUFFY_ASSIGN_OR_RETURN(loaded, warehouse->Load(batch_clause_ids));
+          result->load_seconds += load_timer.ElapsedSeconds();
+        }
+        const std::vector<GroundClause>& batch_clauses =
+            warehouse != nullptr ? loaded : clauses;
 
         batch_peak = std::max(batch_peak, batch_size * kBytesPerSizeUnit);
         ScopedMemCharge charge(MemCategory::kSearch,

@@ -108,6 +108,9 @@ struct EngineResult {
   /// search_cost + the grounding-time fixed cost.
   double total_cost = 0.0;
   double grounding_seconds = 0.0;
+  /// Time spent loading clause batches through the clause warehouse
+  /// (simulate_loading_io); 0 when the search reads the grounding's
+  /// clauses in place.
   double load_seconds = 0.0;
   double search_seconds = 0.0;
   uint64_t flips = 0;

@@ -67,8 +67,11 @@ struct RuleContribution {
   uint32_t count = 0;
 };
 
-/// Hash over a literal vector, shared by the grounding store's duplicate
-/// index and the serving layer's per-rule/global clause maps.
+/// Hash over a literal vector, keying the serving layer's per-rule and
+/// global clause maps. Its low bits depend only on the literals' low
+/// bits, which std::unordered_map's prime bucket counts tolerate; a
+/// power-of-two table masking the low bits would not (the grounding
+/// merge below mixes its own hash for that reason).
 struct LitVectorHash {
   size_t operator()(const std::vector<Lit>& lits) const {
     size_t h = 0x9E3779B97F4A7C15ull;
@@ -77,27 +80,16 @@ struct LitVectorHash {
   }
 };
 
-/// Accumulates ground clauses, merging duplicates (same sorted literal
-/// set) by summing their weights, the standard grounding optimization.
-/// A hard duplicate keeps the clause hard. Provenance back to the
-/// source rules is retained per clause (see RuleContribution); it is
-/// what BuildRuleCountIndex flattens for the learning subsystem.
+/// The MRF's clause table: distinct ground clauses (sorted, duplicate-
+/// free literal sets) with the summed weights of every grounding that
+/// produced them, the standard grounding optimization. A hard duplicate
+/// keeps the clause hard. Provenance back to the source rules is
+/// retained per clause (see RuleContribution); it is what
+/// BuildRuleCountIndex flattens for the learning subsystem. A store is
+/// built in one piece by GroundClauseBuilder::Build and carries no
+/// duplicate index afterwards.
 class GroundClauseStore {
  public:
-  /// Returned by Add when the clause is a tautology and was dropped.
-  static constexpr size_t kTautology = static_cast<size_t>(-1);
-
-  /// Adds a clause (lits need not be sorted), merging with an existing
-  /// identical clause. Returns the clause index, or kTautology.
-  size_t Add(GroundClause clause);
-
-  /// Allocation-free variant for hot emitters: sorts and dedups `*lits`
-  /// (a caller-owned scratch buffer, left in sorted state) and merges it
-  /// into the store, copying the literal vector only when the clause is
-  /// new. Equivalent to Add in every observable way.
-  size_t AddFromScratch(std::vector<Lit>* lits, double weight, bool hard,
-                        int rule_id);
-
   const std::vector<GroundClause>& clauses() const { return clauses_; }
   std::vector<GroundClause>& mutable_clauses() { return clauses_; }
   size_t num_clauses() const { return clauses_.size(); }
@@ -119,27 +111,101 @@ class GroundClauseStore {
   size_t EstimateBytes() const;
 
  private:
-  void AddContribution(size_t idx, int rule_id);
-
-  /// Open-addressing duplicate index: slot -> clause index + 1 (0 =
-  /// empty), keyed by the clause's sorted literal vector and compared
-  /// against clauses_ in place. Unlike a map keyed by the literal
-  /// vector, no second copy of each clause's literals is kept and a
-  /// probe costs one flat-array read plus one clause compare.
-  size_t FindSlot(const std::vector<Lit>& lits, size_t hash) const;
-  void GrowIndex();
+  friend class GroundClauseBuilder;
 
   std::vector<GroundClause> clauses_;
-  /// Cached literal-set hash per clause: rehashing on index growth and
-  /// collision rejection never touch the clauses' heap vectors.
-  std::vector<size_t> hashes_;
   /// Parallel to clauses_: the first rule's grounding multiplicity,
   /// inline so the common single-rule clause costs no extra allocation.
   std::vector<RuleContribution> first_contrib_;
-  /// Clause index -> further distinct rules' multiplicities (rare).
+  /// Clause index -> further distinct rules' multiplicities (rare), in
+  /// order of first appearance.
   std::unordered_map<size_t, std::vector<RuleContribution>> extra_contribs_;
-  std::vector<uint32_t> index_slots_;
-  size_t index_mask_ = 0;
+};
+
+/// Append-only log of emitted ground clauses, merged into a
+/// GroundClauseStore in one bulk pass. The store it builds is the one an
+/// incremental merge would hold after taking the emissions one by one:
+///  - clauses appear in order of their first emission, with that
+///    emission's rule_id;
+///  - a clause's weight is the sum of its emissions' weights, added in
+///    emission order (so the floating-point result is the serial one);
+///  - hard is the OR over its emissions;
+///  - rule contributions count emissions per rule, the first emission's
+///    rule inline and the others in order of first appearance;
+///  - tautologies (a and !a) are dropped.
+/// The thread count changes none of that (determinism_test).
+class GroundClauseBuilder {
+ public:
+  /// clause_of entry of an emission dropped as a tautology.
+  static constexpr size_t kTautology = static_cast<size_t>(-1);
+  /// Below this many emissions Build merges on the calling thread
+  /// whatever num_threads says: starting threads would cost more than
+  /// the merge, and small callers (serving's per-rule and per-delta
+  /// groundings) must stay single-threaded.
+  static constexpr size_t kParallelMinEmissions = size_t{1} << 14;
+
+  /// Appends one emitted clause (literals need not be sorted or
+  /// distinct; never 0). Returns its emission index.
+  size_t Add(const std::vector<Lit>& lits, double weight, bool hard,
+             int rule_id);
+
+  size_t num_emitted() const { return ends_.size(); }
+
+  /// Reserves room for `clauses` emissions holding `lits` literals.
+  void Reserve(size_t clauses, size_t lits) {
+    lits_.reserve(lits);
+    ends_.reserve(clauses);
+    source_of_.reserve(clauses);
+  }
+
+  /// Merges every emission into a store, on up to `num_threads` threads
+  /// when there are at least kParallelMinEmissions of them, and leaves
+  /// the builder empty. If `clause_of` is not null it receives, per
+  /// emission, the index of the clause it merged into, or kTautology.
+  ///
+  /// Three passes: (1) per range of emissions, in parallel: sort and
+  /// dedup each clause's literals in place, flag tautologies, hash;
+  /// (2) per hash shard, in parallel: walk the shard's emissions in
+  /// emission order, the first emission of each literal set opening an
+  /// accumulator and later ones adding into it; (3) per range again:
+  /// merge the shards' first emissions back into emission order and
+  /// fill the exactly-sized store.
+  GroundClauseStore Build(int num_threads,
+                          std::vector<size_t>* clause_of = nullptr);
+
+ private:
+  /// Weight, hardness and rule shared by many emissions (one per rule
+  /// in grounding), so an emission stores a 4-byte source id.
+  struct Source {
+    double weight;
+    bool hard;
+    int32_t rule_id;
+  };
+  struct SourceKey {
+    uint64_t weight_bits;
+    int32_t rule_id;
+    bool hard;
+    bool operator==(const SourceKey& o) const {
+      return weight_bits == o.weight_bits && rule_id == o.rule_id &&
+             hard == o.hard;
+    }
+  };
+  struct SourceKeyHash {
+    size_t operator()(const SourceKey& k) const {
+      return std::hash<uint64_t>{}(k.weight_bits ^
+                                   (uint64_t(uint32_t(k.rule_id)) << 1) ^
+                                   uint64_t(k.hard));
+    }
+  };
+  uint32_t SourceId(double weight, bool hard, int rule_id);
+
+  /// Emission e's literals are lits_[e == 0 ? 0 : ends_[e - 1], ends_[e]).
+  std::vector<Lit> lits_;
+  std::vector<uint32_t> ends_;
+  std::vector<uint32_t> source_of_;
+  std::vector<Source> sources_;
+  std::unordered_map<SourceKey, uint32_t, SourceKeyHash> source_ids_;
+  uint32_t last_source_ = 0;
 };
 
 }  // namespace tuffy

@@ -735,9 +735,25 @@ void GroundingContext::Emit(const PendingClause& pc) {
     scratch_emit_lits_.push_back(MakeLit(id, l > 0));
     cand_active_[cid] = 1;
   }
-  result_.clauses.AddFromScratch(&scratch_emit_lits_,
-                                 clause.hard ? 0.0 : clause.weight,
-                                 clause.hard, clause.rule_id);
+  emitted_.Add(scratch_emit_lits_, clause.hard ? 0.0 : clause.weight,
+               clause.hard, clause.rule_id);
+}
+
+void GroundingContext::BuildClauses() {
+  // The closure is done with the candidate state; free it before the
+  // merge allocates the store.
+  std::vector<PendingClause>().swap(pending_);
+  std::vector<CandLit>().swap(pending_lits_);
+  std::vector<GroundAtom>().swap(cand_atoms_);
+  std::vector<uint8_t>().swap(cand_active_);
+  std::vector<AtomId>().swap(cid_atom_);
+  std::vector<DenseInterner>().swap(dense_);
+  chunk_plan_ = ChunkPlan{};
+  cand_ids_.clear();
+  MemTracker::Global().Release(MemCategory::kGrounding, charged_bytes_);
+  charged_bytes_ = 0;
+  pending_charge_ = 0;
+  result_.clauses = emitted_.Build(options_.num_threads);
 }
 
 Result<GroundingResult> GroundingContext::Finalize() {
@@ -745,14 +761,13 @@ Result<GroundingResult> GroundingContext::Finalize() {
   finalized_ = true;
   Timer timer;
   cid_atom_.assign(cand_atoms_.size(), kNoAtom);
+  // Every pending clause is emitted at most once, with at most its
+  // pending literals: one allocation per emission array, no regrowth.
+  emitted_.Reserve(pending_.size(), pending_lits_.size());
 
   if (!options_.lazy_closure) {
     for (const PendingClause& pc : pending_) Emit(pc);
-    pending_.clear();
-    pending_lits_.clear();
-    MemTracker::Global().Release(MemCategory::kGrounding, charged_bytes_);
-    charged_bytes_ = 0;
-    pending_charge_ = 0;
+    BuildClauses();
     result_.stats.seconds += timer.ElapsedSeconds();
     StampGroundingMetrics(result_.stats);
     return std::move(result_);
@@ -782,11 +797,7 @@ Result<GroundingResult> GroundingContext::Finalize() {
   }
   result_.stats.closure_iterations = iterations;
   result_.stats.pruned_inactive = pending_.size();
-  pending_.clear();
-  pending_lits_.clear();
-  MemTracker::Global().Release(MemCategory::kGrounding, charged_bytes_);
-  charged_bytes_ = 0;
-  pending_charge_ = 0;
+  BuildClauses();
   result_.stats.seconds += timer.ElapsedSeconds();
   StampGroundingMetrics(result_.stats);
   return std::move(result_);

@@ -32,7 +32,9 @@ struct GroundingOptions {
   bool keep_zero_weight_clauses = false;
   /// Worker threads for bottom-up grounding: independent rules run their
   /// binding query + evidence resolution concurrently, and the per-rule
-  /// results merge in rule-index order, so the output is bit-identical
+  /// results merge in rule-index order. Finalize's duplicate merge of
+  /// the emitted clauses (GroundClauseBuilder::Build) uses as many once
+  /// the emissions reach its serial cutoff. The output is bit-identical
   /// for every thread count (see determinism_test).
   int num_threads = 1;
   /// Serving only: re-ground touched rules at binding granularity (join
@@ -253,7 +255,13 @@ class GroundingContext {
   /// Lazy-closure activity test for a pending clause.
   bool IsActive(const PendingClause& pc) const;
 
+  /// Appends a clause the closure keeps to emitted_, interning its
+  /// atoms into the result in emission order.
   void Emit(const PendingClause& pc);
+
+  /// Frees the candidate state and merges emitted_ into the result's
+  /// clause store (on options_.num_threads threads when it is large).
+  void BuildClauses();
 
   /// Batched MemTracker accounting (a per-clause atomic update would
   /// serialize parallel rule grounding).
@@ -290,6 +298,9 @@ class GroundingContext {
   /// emissions of one atom cost an array read, not a hash probe.
   std::vector<AtomId> cid_atom_;
   std::vector<Lit> scratch_emit_lits_;
+  /// Every clause the closure emitted, in emission order; merged into
+  /// result_.clauses once, at the end of Finalize.
+  GroundClauseBuilder emitted_;
 
   /// Count index for closed-world existential literals: for predicate p
   /// and a bitmask of bound argument positions, maps the bound-argument

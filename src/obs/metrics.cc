@@ -154,7 +154,8 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
     out.push_back({kv.first, static_cast<double>(kv.second->Value())});
   }
   for (const auto& kv : gauges_) {
-    out.push_back({kv.first, static_cast<double>(kv.second->Value())});
+    out.push_back({kv.first, static_cast<double>(kv.second->Value()),
+                   /*gauge=*/true});
   }
   for (const auto& kv : histograms_) {
     HistogramSnapshot snap = kv.second->Snapshot();

@@ -150,6 +150,9 @@ class Histogram {
 struct MetricSample {
   std::string name;
   double value = 0.0;
+  /// A gauge's value is a level (open sessions, queue depth), not a
+  /// running total: differences between two snapshots mean nothing.
+  bool gauge = false;
 };
 
 /// Process-wide registry of named metrics. Names are stable dotted paths

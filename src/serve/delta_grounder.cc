@@ -27,6 +27,10 @@ DeltaGrounder::DeltaGrounder(const MlnProgram& program,
   // Delta composability requires rule-local grounding; the lazy closure
   // is a whole-program fixpoint, so it is forced off (see class comment).
   ground_options_.lazy_closure = false;
+  // Every Finalize here grounds one rule or one delta's bindings; the
+  // clause merge stays on the calling thread however the session is
+  // configured.
+  ground_options_.num_threads = 1;
   // Every grounding context this session creates resolves against the
   // resident evidence, which side_tables_ mirrors for its whole life.
   ground_options_.side_tables = &side_tables_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datagen/datasets.h"
@@ -138,40 +140,87 @@ TEST(DeterminismTest, SessionThreadCountInvariantWithStaleStops) {
   }
 }
 
+/// Asserts that two grounding results are bit-identical: atoms and
+/// their ids, clause order, literals, weights (bitwise), hard flags,
+/// rule ids, every rule contribution, the fixed cost and every stat
+/// except wall time.
+void ExpectSameGrounding(const GroundingResult& a, const GroundingResult& b) {
+  ASSERT_EQ(a.atoms.num_atoms(), b.atoms.num_atoms());
+  for (AtomId id = 0; id < a.atoms.num_atoms(); ++id) {
+    ASSERT_TRUE(a.atoms.atom(id) == b.atoms.atom(id)) << "atom " << id;
+  }
+  ASSERT_EQ(a.clauses.num_clauses(), b.clauses.num_clauses());
+  for (size_t i = 0; i < a.clauses.num_clauses(); ++i) {
+    const GroundClause& ca = a.clauses.clauses()[i];
+    const GroundClause& cb = b.clauses.clauses()[i];
+    ASSERT_EQ(ca.lits, cb.lits) << "clause " << i;
+    uint64_t wa;
+    uint64_t wb;
+    std::memcpy(&wa, &ca.weight, sizeof(wa));
+    std::memcpy(&wb, &cb.weight, sizeof(wb));
+    ASSERT_EQ(wa, wb) << "clause " << i;
+    ASSERT_EQ(ca.hard, cb.hard) << "clause " << i;
+    ASSERT_EQ(ca.rule_id, cb.rule_id) << "clause " << i;
+    std::vector<std::pair<int, uint32_t>> ra;
+    std::vector<std::pair<int, uint32_t>> rb;
+    a.clauses.ForEachContribution(
+        i, [&](int rule, uint32_t count) { ra.emplace_back(rule, count); });
+    b.clauses.ForEachContribution(
+        i, [&](int rule, uint32_t count) { rb.emplace_back(rule, count); });
+    ASSERT_EQ(ra, rb) << "clause " << i;
+  }
+  uint64_t fa;
+  uint64_t fb;
+  std::memcpy(&fa, &a.fixed_cost, sizeof(fa));
+  std::memcpy(&fb, &b.fixed_cost, sizeof(fb));
+  EXPECT_EQ(fa, fb);
+  EXPECT_EQ(a.hard_contradiction, b.hard_contradiction);
+  EXPECT_EQ(a.stats.candidates, b.stats.candidates);
+  EXPECT_EQ(a.stats.satisfied_by_evidence, b.stats.satisfied_by_evidence);
+  EXPECT_EQ(a.stats.pruned_by_antijoin, b.stats.pruned_by_antijoin);
+  EXPECT_EQ(a.stats.pruned_inactive, b.stats.pruned_inactive);
+  EXPECT_EQ(a.stats.hard_violations, b.stats.hard_violations);
+  EXPECT_EQ(a.stats.closure_iterations, b.stats.closure_iterations);
+}
+
+GroundingResult GroundWithThreads(const Dataset& ds, int threads) {
+  GroundingOptions gopts;
+  gopts.num_threads = threads;
+  BottomUpGrounder g(ds.program, ds.evidence, gopts, OptimizerOptions{});
+  auto r = g.Ground();
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.TakeValue();
+}
+
 TEST(DeterminismTest, GroundingThreadCountInvariant) {
   // Parallel per-rule grounding merges rule-local contexts in rule-index
-  // order, so the grounding result — atoms, clauses, ordering, stats —
-  // must be bit-identical for any worker count.
-  RcParams p;
-  p.num_clusters = 6;
-  p.papers_per_cluster = 6;
-  auto ds = MakeRcDataset(p);
-  ASSERT_TRUE(ds.ok());
+  // order, and Finalize's clause merge keeps first-emission order and
+  // per-clause emission-order sums on any number of shards, so the
+  // grounding result must be bit-identical for any worker count. Three
+  // threads give an odd shard count.
+  RcParams rc;
+  rc.num_clusters = 6;
+  rc.papers_per_cluster = 6;
+  auto rc_ds = MakeRcDataset(rc);
+  ASSERT_TRUE(rc_ds.ok());
+  // The default LP instance emits more clauses than the merge's serial
+  // cutoff (asserted below), so 2-4 threads run the parallel merge.
+  auto lp_ds = MakeLpDataset(LpParams{});
+  ASSERT_TRUE(lp_ds.ok());
 
-  auto ground = [&](int threads) {
-    GroundingOptions gopts;
-    gopts.num_threads = threads;
-    BottomUpGrounder g(ds.value().program, ds.value().evidence, gopts,
-                       OptimizerOptions{});
-    auto r = g.Ground();
-    EXPECT_TRUE(r.ok());
-    return r.TakeValue();
-  };
-  GroundingResult serial = ground(1);
-  GroundingResult parallel = ground(4);
-  ASSERT_EQ(serial.clauses.num_clauses(), parallel.clauses.num_clauses());
-  for (size_t i = 0; i < serial.clauses.num_clauses(); ++i) {
-    ASSERT_EQ(serial.clauses.clauses()[i].lits,
-              parallel.clauses.clauses()[i].lits);
-    ASSERT_EQ(serial.clauses.clauses()[i].weight,
-              parallel.clauses.clauses()[i].weight);
+  for (const Dataset* ds : {&rc_ds.value(), &lp_ds.value()}) {
+    SCOPED_TRACE(ds->name);
+    const GroundingResult serial = GroundWithThreads(*ds, 1);
+    if (ds == &lp_ds.value()) {
+      // Distinct clauses never outnumber emissions.
+      ASSERT_GE(serial.clauses.num_clauses(),
+                GroundClauseBuilder::kParallelMinEmissions);
+    }
+    for (int threads : {2, 3, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      ExpectSameGrounding(serial, GroundWithThreads(*ds, threads));
+    }
   }
-  ASSERT_EQ(serial.atoms.num_atoms(), parallel.atoms.num_atoms());
-  for (AtomId a = 0; a < serial.atoms.num_atoms(); ++a) {
-    ASSERT_TRUE(serial.atoms.atom(a) == parallel.atoms.atom(a));
-  }
-  EXPECT_EQ(serial.fixed_cost, parallel.fixed_cost);
-  EXPECT_EQ(serial.stats.candidates, parallel.stats.candidates);
 }
 
 TEST(DeterminismTest, DeriveSeedDecorrelatesAdjacentStreams) {

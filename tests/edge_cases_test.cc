@@ -54,28 +54,28 @@ TEST(EdgeCaseTest, ZeroWeightClausesDropped) {
 TEST(EdgeCaseTest, OppositeWeightsCancelOnMerge) {
   // The same ground clause from rules with weights +2 and -2 merges to
   // weight 0: harmless for search (violating it costs nothing).
-  GroundClauseStore store;
-  GroundClause a;
-  a.lits = {MakeLit(0, true), MakeLit(1, false)};
-  a.weight = 2.0;
-  GroundClause b = a;
-  b.weight = -2.0;
-  size_t ia = store.Add(std::move(a));
-  size_t ib = store.Add(std::move(b));
+  GroundClauseBuilder builder;
+  const std::vector<Lit> lits = {MakeLit(0, true), MakeLit(1, false)};
+  const size_t ea = builder.Add(lits, 2.0, /*hard=*/false, /*rule_id=*/-1);
+  const size_t eb = builder.Add(lits, -2.0, /*hard=*/false, /*rule_id=*/-1);
+  std::vector<size_t> clause_of;
+  GroundClauseStore store = builder.Build(/*num_threads=*/1, &clause_of);
+  size_t ia = clause_of[ea];
+  size_t ib = clause_of[eb];
   EXPECT_EQ(ia, ib);
   EXPECT_DOUBLE_EQ(store.clauses()[ia].weight, 0.0);
 }
 
 TEST(EdgeCaseTest, HardMergeKeepsHard) {
-  GroundClauseStore store;
-  GroundClause soft;
-  soft.lits = {MakeLit(0, true)};
-  soft.weight = 1.0;
-  GroundClause hard;
-  hard.lits = {MakeLit(0, true)};
-  hard.hard = true;
-  size_t i1 = store.Add(std::move(soft));
-  size_t i2 = store.Add(std::move(hard));
+  GroundClauseBuilder builder;
+  const size_t e1 = builder.Add({MakeLit(0, true)}, 1.0, /*hard=*/false,
+                                /*rule_id=*/-1);
+  const size_t e2 = builder.Add({MakeLit(0, true)}, 0.0, /*hard=*/true,
+                                /*rule_id=*/-1);
+  std::vector<size_t> clause_of;
+  GroundClauseStore store = builder.Build(/*num_threads=*/1, &clause_of);
+  size_t i1 = clause_of[e1];
+  size_t i2 = clause_of[e2];
   EXPECT_EQ(i1, i2);
   EXPECT_TRUE(store.clauses()[i1].hard);
 }

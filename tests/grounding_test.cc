@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "datagen/datasets.h"
 #include "ground/bottom_up_grounder.h"
@@ -273,6 +276,104 @@ TEST(GroundingTest, TautologyDropped) {
   eager.lazy_closure = false;
   GroundingResult g = GroundBottomUp(in, eager);
   EXPECT_EQ(g.clauses.num_clauses(), 0u);
+}
+
+// ------------------------------------------------ bulk clause merge
+
+TEST(GroundingTest, BulkMergeMatchesOneAtATimeSemantics) {
+  // Emissions with every merge case, spread over a run of distinct
+  // filler clauses: once below the serial cutoff, and once long enough
+  // that 2-4 threads run the sharded merge.
+  const double kOrderedSum = (0.1 + 0.2) + 0.3;
+  ASSERT_NE(kOrderedSum, 0.1 + (0.2 + 0.3));  // addition order shows
+  for (size_t filler : {size_t{8}, GroundClauseBuilder::kParallelMinEmissions}) {
+    for (int threads : {1, 2, 3, 4}) {
+      SCOPED_TRACE("filler " + std::to_string(filler) + " threads " +
+                   std::to_string(threads));
+      GroundClauseBuilder builder;
+      std::vector<size_t> fill_ids;
+      auto add_fillers = [&](size_t count) {
+        for (size_t i = 0; i < count; ++i) {
+          const AtomId a = static_cast<AtomId>(100 + fill_ids.size());
+          fill_ids.push_back(builder.Add({MakeLit(a, true)}, 1.0,
+                                         /*hard=*/false, /*rule_id=*/9));
+        }
+      };
+      const std::vector<Lit> two_rules = {MakeLit(1, false), MakeLit(0, true)};
+      const std::vector<Lit> summed = {MakeLit(2, true), MakeLit(3, true)};
+      const std::vector<Lit> mixed = {MakeLit(4, false)};
+      // Rule 0 first, so the clause keeps rule_id 0 and counts rule 1
+      // as an extra contribution.
+      const size_t e_two0 = builder.Add(two_rules, 1.5, false, 0);
+      const size_t e_sum1 = builder.Add(summed, 0.1, false, 2);
+      const size_t e_taut = builder.Add(
+          {MakeLit(5, true), MakeLit(6, true), MakeLit(5, false)}, 1.0, false,
+          3);
+      add_fillers(filler);
+      const size_t e_mix_soft = builder.Add(mixed, 2.0, false, 4);
+      const size_t e_sum2 = builder.Add({MakeLit(3, true), MakeLit(2, true)},
+                                        0.2, false, 2);
+      // Unsorted and with a repeated literal: still the same clause.
+      const size_t e_two1 = builder.Add(
+          {MakeLit(0, true), MakeLit(1, false), MakeLit(0, true)}, 0.5, false,
+          1);
+      add_fillers(filler);
+      const size_t e_mix_hard = builder.Add(mixed, 0.0, true, 5);
+      const size_t e_sum3 = builder.Add(summed, 0.3, false, 2);
+      const size_t e_two2 = builder.Add(two_rules, 1.5, false, 0);
+
+      std::vector<size_t> clause_of;
+      GroundClauseStore store = builder.Build(threads, &clause_of);
+      EXPECT_EQ(builder.num_emitted(), 0u);
+      ASSERT_EQ(clause_of.size(), 9 + 2 * filler);
+      ASSERT_EQ(store.num_clauses(), 3 + 2 * filler);
+
+      // First-emission order: two_rules, summed, the first filler run,
+      // mixed, the second filler run.
+      EXPECT_EQ(clause_of[e_two0], 0u);
+      EXPECT_EQ(clause_of[e_two1], 0u);
+      EXPECT_EQ(clause_of[e_two2], 0u);
+      EXPECT_EQ(clause_of[e_sum1], 1u);
+      EXPECT_EQ(clause_of[e_sum2], 1u);
+      EXPECT_EQ(clause_of[e_sum3], 1u);
+      EXPECT_EQ(clause_of[e_mix_soft], 2 + filler);
+      EXPECT_EQ(clause_of[e_mix_hard], 2 + filler);
+      EXPECT_EQ(clause_of[e_taut], GroundClauseBuilder::kTautology);
+      for (size_t i = 0; i < fill_ids.size(); ++i) {
+        EXPECT_EQ(clause_of[fill_ids[i]], i < filler ? 2 + i : 3 + i);
+      }
+
+      const GroundClause& c0 = store.clauses()[0];
+      EXPECT_EQ(c0.lits, (std::vector<Lit>{MakeLit(1, false),
+                                           MakeLit(0, true)}));
+      EXPECT_EQ(c0.weight, (1.5 + 0.5) + 1.5);
+      EXPECT_FALSE(c0.hard);
+      EXPECT_EQ(c0.rule_id, 0);
+      std::vector<std::pair<int, uint32_t>> contribs;
+      store.ForEachContribution(0, [&](int rule, uint32_t count) {
+        contribs.emplace_back(rule, count);
+      });
+      EXPECT_EQ(contribs,
+                (std::vector<std::pair<int, uint32_t>>{{0, 2}, {1, 1}}));
+
+      const GroundClause& c1 = store.clauses()[1];
+      EXPECT_EQ(c1.lits, (std::vector<Lit>{MakeLit(2, true),
+                                           MakeLit(3, true)}));
+      EXPECT_EQ(c1.weight, kOrderedSum);  // exact, not approximately
+      EXPECT_EQ(c1.rule_id, 2);
+
+      const GroundClause& cm = store.clauses()[2 + filler];
+      EXPECT_TRUE(cm.hard);
+      EXPECT_EQ(cm.weight, 2.0);
+      EXPECT_EQ(cm.rule_id, 4);
+      contribs.clear();
+      store.ForEachContribution(2 + filler, [&](int rule, uint32_t count) {
+        contribs.emplace_back(rule, count);
+      });
+      EXPECT_EQ(contribs,
+                (std::vector<std::pair<int, uint32_t>>{{4, 1}, {5, 1}}));
+    }
+  }
 }
 
 // -------------------------------------- bottom-up == top-down property

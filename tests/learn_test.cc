@@ -25,21 +25,15 @@ namespace {
 // --------------------------------------------------------- count index
 
 TEST(RuleCountIndexTest, MergedDuplicatesKeepPerRuleMultiplicity) {
-  GroundClauseStore store;
-  GroundClause a;
-  a.lits = {MakeLit(0, true), MakeLit(1, false)};
-  a.weight = 1.0;
-  a.rule_id = 0;
-  store.Add(a);
-  GroundClause b = a;  // same literal set, different source rule
-  b.rule_id = 1;
-  store.Add(b);
-  store.Add(a);  // rule 0 grounds this literal set twice
-  GroundClause c;
-  c.lits = {MakeLit(2, true)};
-  c.weight = -0.5;
-  c.rule_id = 1;
-  store.Add(c);
+  GroundClauseBuilder builder;
+  const std::vector<Lit> a = {MakeLit(0, true), MakeLit(1, false)};
+  builder.Add(a, 1.0, /*hard=*/false, /*rule_id=*/0);
+  // Same literal set, different source rule.
+  builder.Add(a, 1.0, /*hard=*/false, /*rule_id=*/1);
+  // Rule 0 grounds this literal set twice.
+  builder.Add(a, 1.0, /*hard=*/false, /*rule_id=*/0);
+  builder.Add({MakeLit(2, true)}, -0.5, /*hard=*/false, /*rule_id=*/1);
+  GroundClauseStore store = builder.Build(/*num_threads=*/1);
 
   ASSERT_EQ(store.num_clauses(), 2u);
   EXPECT_DOUBLE_EQ(store.clauses()[0].weight, 3.0);
@@ -55,14 +49,11 @@ TEST(RuleCountIndexTest, MergedDuplicatesKeepPerRuleMultiplicity) {
 }
 
 TEST(RuleCountIndexTest, RecomputeClauseWeightsSumsContributions) {
-  GroundClauseStore store;
-  GroundClause a;
-  a.lits = {MakeLit(0, true)};
-  a.weight = 1.0;
-  a.rule_id = 0;
-  store.Add(a);
-  a.rule_id = 1;
-  store.Add(a);  // merged: rule 0 + rule 1
+  GroundClauseBuilder builder;
+  builder.Add({MakeLit(0, true)}, 1.0, /*hard=*/false, /*rule_id=*/0);
+  // Merged: rule 0 + rule 1.
+  builder.Add({MakeLit(0, true)}, 1.0, /*hard=*/false, /*rule_id=*/1);
+  GroundClauseStore store = builder.Build(/*num_threads=*/1);
   RuleCountIndex index = BuildRuleCountIndex(store, 2);
 
   std::vector<double> clause_weights = {0.0};
@@ -80,7 +71,7 @@ TEST(RuleCountIndexTest, RecomputeClauseWeightsSumsContributions) {
 GroundClauseStore RandomStore(size_t num_atoms, int num_clauses,
                               int num_rules, uint64_t seed) {
   Rng rng(seed);
-  GroundClauseStore store;
+  GroundClauseBuilder builder;
   for (int i = 0; i < num_clauses; ++i) {
     GroundClause c;
     int len = 1 + static_cast<int>(rng.Uniform(3));
@@ -94,9 +85,9 @@ GroundClauseStore RandomStore(size_t num_atoms, int num_clauses,
                                    : (0.3 + rng.NextDouble());
     c.hard = rng.Bernoulli(0.1);
     c.rule_id = i % num_rules;
-    store.Add(std::move(c));
+    builder.Add(c.lits, c.weight, c.hard, c.rule_id);
   }
-  return store;
+  return builder.Build(/*num_threads=*/1);
 }
 
 TEST(FormulaStatsTest, IncrementalCountsMatchRecountUnderRandomFlips) {

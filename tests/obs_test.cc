@@ -122,10 +122,38 @@ TEST(MetricsTest, RegistryReturnsStablePointersAndRendersCatalog) {
   for (const MetricSample& s : registry.Snapshot()) {
     if (s.name == "obs_test.counter") {
       EXPECT_EQ(s.value, 3.0);
+      EXPECT_FALSE(s.gauge);
       found = true;
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(MetricsTest, SnapshotMarksGauges) {
+  // A gauge is a level: snapshot consumers (bench rows) must report it
+  // as one instead of differencing it like a counter.
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.GetGauge("obs_test.gauge")->Set(7);
+  registry.GetCounter("obs_test.marked_counter")->Add(2);
+  int seen = 0;
+  for (const MetricSample& s : registry.Snapshot()) {
+    if (s.name == "obs_test.gauge") {
+      EXPECT_TRUE(s.gauge);
+      EXPECT_EQ(s.value, 7.0);
+      ++seen;
+    } else if (s.name == "obs_test.marked_counter") {
+      EXPECT_FALSE(s.gauge);
+      ++seen;
+    } else if (s.name == "serve.delta.seconds.count") {
+      EXPECT_FALSE(s.gauge);  // histogram samples are totals too
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, 3);
+  // The scrape format is unchanged: the gauge renders as a gauge line.
+  const std::string text = registry.RenderText();
+  EXPECT_NE(text.find("# TYPE obs_test.gauge gauge\nobs_test.gauge 7\n"),
+            std::string::npos);
 }
 
 // -------------------------------------------------------------- traces
