@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "ground/atom_loader.h"
-#include "ra/operators.h"
 #include "ra/vec_ops.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -229,62 +228,19 @@ Status GroundClauseCandidates(
                           plan.explain.c_str());
   }
 
-  // Rows dropped by the evidence anti-joins at the top of the plan:
-  // (rows reaching the lowest anti-join) - (rows leaving the top one),
-  // read off the operator counters after execution. These are
-  // evidence-satisfied candidates resolution never saw.
-  auto vec_pruned = [](const VecOp* op) {
-    uint64_t out_rows = op->rows_produced();
-    while (const auto* aj = dynamic_cast<const VecAntiJoinOp*>(op)) {
-      const VecOp* child = nullptr;
-      aj->ForEachChild([&](const VecOp* c) { child = c; });
-      op = child;
-    }
-    return op->rows_produced() - out_rows;
-  };
-  auto volcano_pruned = [](PhysicalOp* op) {
-    uint64_t out_rows = op->rows_produced();
-    while (auto* aj = dynamic_cast<AntiJoinOp*>(op)) {
-      PhysicalOp* child = nullptr;
-      aj->ForEachChild([&](PhysicalOp* c) { child = c; });
-      op = child;
-    }
-    return op->rows_produced() - out_rows;
-  };
-
-  if (plan.vec_root != nullptr) {
-    // Batch path: whole chunks flow from the executor into the resolver.
-    TUFFY_RETURN_IF_ERROR(
-        ForEachChunk(plan.vec_root.get(), [&](const ColumnChunk& chunk) {
-          ctx->AddCandidateChunk(clause_idx, chunk, rq.out_vars,
-                                 rq.binding_lit_mask);
-          return Status::OK();
-        }));
-    ctx->RecordAntiJoinPruned(vec_pruned(plan.vec_root.get()));
-    if (explain != nullptr && optimizer_options.analyze) {
-      *explain += StrFormat("-- analyze rule %d --\n", clause.rule_id);
-      AppendVecAnalyze(plan.vec_root.get(), 0, explain);
-    }
-    return Status::OK();
-  }
-
-  TUFFY_RETURN_IF_ERROR(plan.root->Open());
-  Row row;
-  Assignment assignment(clause.num_vars, -1);
-  while (true) {
-    auto has = plan.root->Next(&row);
-    if (!has.ok()) return has.status();
-    if (!has.value()) break;
-    for (size_t i = 0; i < rq.out_vars.size(); ++i) {
-      assignment[rq.out_vars[i]] = static_cast<ConstantId>(row[i].int64());
-    }
-    ctx->AddCandidate(clause_idx, assignment, rq.binding_lit_mask);
-  }
-  ctx->RecordAntiJoinPruned(volcano_pruned(plan.root.get()));
-  plan.root->Close();
+  // Whole chunks flow from the executor into the resolver.
+  TUFFY_RETURN_IF_ERROR(
+      ForEachChunk(plan.root.get(), [&](const ColumnChunk& chunk) {
+        ctx->AddCandidateChunk(clause_idx, chunk, rq.out_vars,
+                               rq.binding_lit_mask);
+        return Status::OK();
+      }));
+  // Evidence-satisfied candidates the anti-joins dropped before
+  // resolution ever saw them.
+  ctx->RecordAntiJoinPruned(AntiJoinPrunedRows(plan.root.get()));
   if (explain != nullptr && optimizer_options.analyze) {
     *explain += StrFormat("-- analyze rule %d --\n", clause.rule_id);
-    AppendAnalyze(plan.root.get(), 0, explain);
+    AppendVecAnalyze(plan.root.get(), 0, explain);
   }
   return Status::OK();
 }
@@ -301,37 +257,18 @@ Status CollectBindings(
                          optimizer.Plan(std::move(rule_query.query)));
   const std::vector<VarId>& out_vars = rule_query.out_vars;
   Assignment assignment(clause.num_vars, -1);
-  auto emit = [&]() {
-    if (seen != nullptr) {
-      auto [it, inserted] = seen->emplace(assignment, true);
-      if (!inserted) return;
-    }
-    out->push_back(assignment);
-  };
-  if (plan.vec_root != nullptr) {
-    return ForEachChunk(plan.vec_root.get(), [&](const ColumnChunk& chunk) {
-      for (uint32_t r = 0; r < chunk.num_rows; ++r) {
-        for (size_t c = 0; c < out_vars.size(); ++c) {
-          assignment[out_vars[c]] = static_cast<ConstantId>(chunk.col(c)[r]);
-        }
-        emit();
+  return ForEachChunk(plan.root.get(), [&](const ColumnChunk& chunk) {
+    for (uint32_t r = 0; r < chunk.num_rows; ++r) {
+      for (size_t c = 0; c < out_vars.size(); ++c) {
+        assignment[out_vars[c]] = static_cast<ConstantId>(chunk.col(c)[r]);
       }
-      return Status::OK();
-    });
-  }
-  TUFFY_RETURN_IF_ERROR(plan.root->Open());
-  Row row;
-  while (true) {
-    auto has = plan.root->Next(&row);
-    if (!has.ok()) return has.status();
-    if (!has.value()) break;
-    for (size_t i = 0; i < out_vars.size(); ++i) {
-      assignment[out_vars[i]] = static_cast<ConstantId>(row[i].int64());
+      if (seen != nullptr && !seen->emplace(assignment, true).second) {
+        continue;
+      }
+      out->push_back(assignment);
     }
-    emit();
-  }
-  plan.root->Close();
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Result<GroundingResult> BottomUpGrounder::Ground() {

@@ -28,11 +28,11 @@ namespace tuffy {
 /// variable ranges over its type's domain table. Constants and repeated
 /// variables become pushed-down filters.
 ///
-/// Execution is batch-at-a-time whenever the optimizer can emit a
-/// vectorized plan (see OptimizerOptions::enable_vectorized), and
-/// independent rules ground in parallel (GroundingOptions::num_threads)
-/// with a rule-index-order merge, so results are bit-identical across
-/// executors and thread counts.
+/// Execution is batch-at-a-time (the Volcano translation remains behind
+/// OptimizerOptions' lesion switches), and independent rules ground in
+/// parallel (GroundingOptions::num_threads) with a rule-index-order
+/// merge, so results are bit-identical across translations and thread
+/// counts.
 class BottomUpGrounder {
  public:
   BottomUpGrounder(const MlnProgram& program, const EvidenceDb& evidence,
@@ -113,8 +113,7 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
 
 /// Compiles and runs the binding query of one first-order clause against
 /// already-loaded predicate/domain tables, feeding every candidate
-/// variable assignment into `ctx` (whole chunks at a time on the
-/// vectorized path). This is the per-rule unit of bottom-up grounding;
+/// variable assignment into `ctx`, whole chunks at a time. This is the per-rule unit of bottom-up grounding;
 /// BottomUpGrounder::Ground runs it for every clause, and the serving
 /// layer's DeltaGrounder re-runs it for just the rules a delta touches.
 /// `explain`, if non-null, receives the plan's EXPLAIN text (plus

@@ -403,11 +403,10 @@ void GroundingContext::ResolveCandidate(int clause_idx,
 }
 
 void GroundingContext::AddCandidate(int clause_idx,
-                                    const Assignment& assignment,
-                                    uint64_t skip_lit_mask) {
+                                    const Assignment& assignment) {
   assert(!finalized_);
   ++result_.stats.candidates;
-  ResolveCandidate(clause_idx, assignment, skip_lit_mask);
+  ResolveCandidate(clause_idx, assignment, /*skip_lit_mask=*/0);
 }
 
 void GroundingContext::BuildChunkPlan(int clause_idx,

@@ -115,16 +115,15 @@ class GroundingContext {
   ~GroundingContext();
 
   /// Registers a candidate grounding of program.clauses()[clause_idx].
-  /// Bit k of `skip_lit_mask` marks literal k as resolution-exempt: the
-  /// caller guarantees the literal is false under the evidence (the
-  /// binding join already matched its atom against true rows), so it
-  /// contributes nothing to the ground clause.
-  void AddCandidate(int clause_idx, const Assignment& assignment,
-                    uint64_t skip_lit_mask = 0);
+  void AddCandidate(int clause_idx, const Assignment& assignment);
 
   /// Bulk registration of one batch-executor output chunk: column c of
   /// `chunk` binds variable out_vars[c]. One scratch assignment serves
-  /// the whole chunk (no per-candidate allocation).
+  /// the whole chunk (no per-candidate allocation). Bit k of
+  /// `skip_lit_mask` marks literal k as resolution-exempt: the caller
+  /// guarantees the literal is false under the evidence (the binding
+  /// join already matched its atom against true rows), so it contributes
+  /// nothing to the ground clause.
   void AddCandidateChunk(int clause_idx, const ColumnChunk& chunk,
                          const std::vector<VarId>& out_vars,
                          uint64_t skip_lit_mask = 0);

@@ -10,15 +10,12 @@ bool IdTable::Build(const Table& table, IdTable* out) {
     if (schema.column(c).type != ColumnType::kInt64) return false;
   }
   out->num_rows_ = table.num_rows();
-  out->narrow_ = true;
   out->cols_.assign(schema.num_columns(), {});
   for (auto& col : out->cols_) col.reserve(table.num_rows());
   for (const Row& row : table.rows()) {
     for (size_t c = 0; c < row.size(); ++c) {
       if (!row[c].is_int64()) return false;  // NULL or mistyped cell
-      int64_t v = row[c].int64();
-      if (v < 0 || v > INT32_MAX) out->narrow_ = false;
-      out->cols_[c].push_back(v);
+      out->cols_[c].push_back(row[c].int64());
     }
   }
   return true;

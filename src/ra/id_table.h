@@ -21,14 +21,13 @@ class Table;
 class IdTable {
  public:
   IdTable() = default;
+  /// Takes `cols` as the columns (all the same length) of a table.
+  explicit IdTable(std::vector<std::vector<int64_t>> cols)
+      : num_rows_(cols.empty() ? 0 : cols[0].size()), cols_(std::move(cols)) {}
 
   size_t num_rows() const { return num_rows_; }
   size_t num_cols() const { return cols_.size(); }
   const std::vector<int64_t>& col(size_t i) const { return cols_[i]; }
-
-  /// True when every value fits in [0, 2^31): the precondition for
-  /// packing two key columns into one uint64 hash-join key.
-  bool narrow() const { return narrow_; }
 
   /// Populates `out` from `table` if every column is kInt64 and no cell
   /// is NULL; returns false (leaving `out` unspecified) otherwise.
@@ -43,17 +42,14 @@ class IdTable {
   /// Resets to `num_cols` empty columns.
   void Init(size_t num_cols) {
     num_rows_ = 0;
-    narrow_ = true;
     cols_.assign(num_cols, {});
   }
 
-  /// Appends one row; a value outside [0, 2^31) clears the narrow flag.
+  /// Appends one row.
   template <typename T>
   void AppendRow(const std::vector<T>& vals) {
     for (size_t c = 0; c < cols_.size(); ++c) {
-      const int64_t v = static_cast<int64_t>(vals[c]);
-      if (v < 0 || v > INT32_MAX) narrow_ = false;
-      cols_[c].push_back(v);
+      cols_[c].push_back(static_cast<int64_t>(vals[c]));
     }
     ++num_rows_;
   }
@@ -77,7 +73,6 @@ class IdTable {
  private:
   size_t num_rows_ = 0;
   std::vector<std::vector<int64_t>> cols_;
-  bool narrow_ = true;
 };
 
 }  // namespace tuffy

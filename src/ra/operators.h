@@ -257,8 +257,8 @@ class SortMergeJoinOp final : public PhysicalOp {
 /// rows whose probe key is present are dropped. This is the in-plan
 /// satisfied-by-evidence test: it only ever removes rows whose clause
 /// resolution would discard anyway, so plans with and without it ground
-/// bit-identically. Supports any key arity (the packed-key batch variant
-/// VecAntiJoinOp covers <= 2 distinct probe columns).
+/// bit-identically. Supports any key arity, as does its batch twin
+/// VecAntiJoinOp.
 class AntiJoinOp final : public PhysicalOp {
  public:
   AntiJoinOp(PhysicalOpPtr child, AntiJoinRef ref);

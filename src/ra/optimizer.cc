@@ -23,8 +23,7 @@ double DistinctEstimate(const Table* table, int col) {
 
 /// Lowers a pushed-down scan filter into VecPredicates. Handles exactly
 /// the grammar the grounding compiler emits — conjunctions of col = const
-/// and col = col equalities; anything else keeps the query on the
-/// Volcano path.
+/// and col = col equalities; anything else returns false.
 bool TryLowerPredicate(const Expr* e, std::vector<VecPredicate>* out) {
   if (const auto* a = dynamic_cast<const AndExpr*>(e)) {
     for (const ExprPtr& child : a->children()) {
@@ -146,30 +145,33 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
     std::fill(placed.begin(), placed.end(), false);
   }
 
-  // ---- Vectorized eligibility (inspected before filters are moved
-  // into the Volcano plan below). Lesion configurations that disable
-  // hash joins or predicate pushdown must stay on the Volcano operators
-  // they are studying; a fixed join order, by contrast, carries over
-  // (the batch plan honors the same order).
-  bool vec_ok = options_.enable_vectorized && options_.enable_hash_join &&
-                !options_.disable_predicate_pushdown;
+  // ---- Translation: the batch plan unless a lesion studies the Volcano
+  // operators (no hash joins, no predicate pushdown, or no batch
+  // executor). A fixed join order carries over to the batch plan.
+  const bool batch = options_.enable_vectorized && options_.enable_hash_join &&
+                     !options_.disable_predicate_pushdown;
   std::vector<std::vector<VecPredicate>> scan_preds(n);
-  for (size_t t = 0; vec_ok && t < n; ++t) {
+  for (size_t t = 0; batch && t < n; ++t) {
     const TableRef& ref = query.tables[t];
-    const IdTable* view = ref.table->id_view();
-    if (view == nullptr || !view->narrow()) {
-      vec_ok = false;
-      break;
+    if (ref.table->id_view() == nullptr) {
+      return Status::InvalidArgument(StrFormat(
+          "batch plan: relation %s has no id view", ref.table->name().c_str()));
     }
     if (ref.filter != nullptr &&
         !TryLowerPredicate(ref.filter.get(), &scan_preds[t])) {
-      vec_ok = false;
+      return Status::InvalidArgument(StrFormat(
+          "batch plan: filter on %s is not a conjunction of equalities",
+          ref.table->name().c_str()));
+    }
+  }
+  for (const AntiJoinRef& aj : query.anti_joins) {
+    if (aj.build == nullptr) {
+      return Status::InvalidArgument("anti-join ref has no build relation");
     }
   }
 
-  // ---- Step schedule shared by both physical translations: join keys
-  // and cycle residuals per step, plus each table's column offset in the
-  // concatenated join row. ----
+  // ---- Step schedule: join keys and cycle residuals per step, plus
+  // each table's column offset in the concatenated join row. ----
   struct StepJoin {
     std::vector<JoinKey> keys;
     /// Absolute column pairs of join conditions not usable as keys.
@@ -215,127 +217,46 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
           join_applied[j] = true;
         }
       }
-      // The packed-key batch join handles at most two key columns.
-      if (steps[step].keys.size() > 2) vec_ok = false;
     }
   }
-
-  // ---- Volcano plan construction. ----
-  std::string explain;
-  auto make_scan = [&](int t) -> PhysicalOpPtr {
-    TableRef& ref = query.tables[t];
-    PhysicalOpPtr op = std::make_unique<SeqScanOp>(ref.table);
-    if (ref.filter != nullptr && !options_.disable_predicate_pushdown) {
-      op = std::make_unique<FilterOp>(std::move(op), std::move(ref.filter));
-    }
-    return op;
-  };
-
-  int t0 = order[0];
-  PhysicalOpPtr root = make_scan(t0);
-  explain += StrFormat("Scan %s (est_rows=%.0f)\n",
-                       query.tables[t0].table->name().c_str(), base_rows[t0]);
-
-  for (size_t step = 1; step < order.size(); ++step) {
-    int t = order[step];
-    PhysicalOpPtr right = make_scan(t);
-    const std::vector<JoinKey>& keys = steps[step].keys;
-
-    const char* algo;
-    if (keys.empty()) {
-      root = std::make_unique<NestedLoopJoinOp>(std::move(root),
-                                                std::move(right), keys);
-      algo = "NestedLoop(cross)";
-    } else if (options_.enable_hash_join) {
-      root = std::make_unique<HashJoinOp>(std::move(root), std::move(right),
-                                          keys);
-      algo = "HashJoin";
-    } else if (options_.enable_merge_join) {
-      root = std::make_unique<SortMergeJoinOp>(std::move(root),
-                                               std::move(right), keys);
-      algo = "SortMergeJoin";
-    } else {
-      root = std::make_unique<NestedLoopJoinOp>(std::move(root),
-                                                std::move(right), keys);
-      algo = "NestedLoopJoin";
-    }
-    explain += StrFormat("%s with %s (keys=%zu)\n", algo,
-                         query.tables[t].table->name().c_str(), keys.size());
-
-    if (!steps[step].cycles.empty()) {
-      std::vector<ExprPtr> residuals;
-      for (const auto& [a, b] : steps[step].cycles) {
-        residuals.push_back(Eq(Col(a), Col(b)));
-      }
-      size_t count = residuals.size();
-      root = std::make_unique<FilterOp>(std::move(root),
-                                        And(std::move(residuals)));
-      explain += StrFormat("Filter (%zu cycle conditions)\n", count);
-    }
-  }
-
-  // Filters that were not pushed down (lesion mode): hoist each base-table
-  // predicate above the join tree, rebound to the table's column range.
-  if (options_.disable_predicate_pushdown) {
-    std::vector<ExprPtr> top_filters;
-    for (size_t t = 0; t < n; ++t) {
-      TableRef& ref = query.tables[t];
-      if (ref.filter == nullptr) continue;
-      int width = static_cast<int>(ref.table->schema().num_columns());
-      top_filters.push_back(std::make_unique<ShiftExpr>(
-          std::move(ref.filter), col_offset[t], width));
-    }
-    if (!top_filters.empty()) {
-      size_t count = top_filters.size();
-      root = std::make_unique<FilterOp>(std::move(root),
-                                        And(std::move(top_filters)));
-      explain += StrFormat("Filter (%zu hoisted predicates)\n", count);
-    }
-  }
-
-  // Final projection.
   std::vector<int> out_cols;
   std::vector<std::string> out_names;
   for (const OutputCol& oc : query.outputs) {
     out_cols.push_back(col_offset[oc.table] + oc.col);
     out_names.push_back(oc.name);
   }
-  if (!out_cols.empty()) {
-    root = std::make_unique<ProjectOp>(std::move(root), out_cols, out_names);
-    explain += StrFormat("Project (%zu cols)\n", out_cols.size());
-  }
 
-  // Anti-joins above the projection: evidence-satisfaction pruning
-  // (probe columns are output columns). The packed-key batch variant
-  // handles up to four distinct probe columns over a narrow build side
-  // (one or two pack into a single uint64, three or four into a 128-bit
-  // two-word key); a wider ref keeps the whole query on the Volcano
-  // operators so both translations prune identically.
-  for (const AntiJoinRef& aj : query.anti_joins) {
-    if (aj.build == nullptr) {
-      return Status::InvalidArgument("anti-join ref has no build relation");
+  OptimizedPlan plan;
+  std::string& explain = plan.explain;
+  const int t0 = order[0];
+  explain = batch ? StrFormat("Batch plan (chunk=%u)\n", kVecChunkRows)
+                  : "Volcano plan\n";
+  explain += StrFormat("Scan %s (est_rows=%.0f)\n",
+                       query.tables[t0].table->name().c_str(), base_rows[t0]);
+  auto explain_join = [&](const char* algo, size_t step) {
+    explain += StrFormat("%s with %s (keys=%zu)\n", algo,
+                         query.tables[order[step]].table->name().c_str(),
+                         steps[step].keys.size());
+    if (!steps[step].cycles.empty()) {
+      explain += StrFormat("Filter (%zu cycle conditions)\n",
+                           steps[step].cycles.size());
     }
-    if (!aj.build->narrow()) vec_ok = false;
-    std::vector<int> distinct_probe;
-    for (const AntiJoinTerm& term : aj.terms) {
-      if (term.probe_col < 0) continue;
-      bool seen = false;
-      for (int p : distinct_probe) seen = seen || p == term.probe_col;
-      if (!seen) distinct_probe.push_back(term.probe_col);
+  };
+  auto explain_tail = [&] {
+    if (!out_cols.empty()) {
+      explain += StrFormat("Project (%zu cols)\n", out_cols.size());
     }
-    if (distinct_probe.size() > 4) vec_ok = false;
-    explain += StrFormat("AntiJoin %s (build_rows=%zu)\n", aj.label.c_str(),
-                         aj.build->num_rows());
-    root = std::make_unique<AntiJoinOp>(std::move(root), aj);
-  }
-  if (options_.analyze) EnableAnalyze(root.get());
+    for (const AntiJoinRef& aj : query.anti_joins) {
+      explain += StrFormat("AntiJoin %s (build_rows=%zu)\n", aj.label.c_str(),
+                           aj.build->num_rows());
+    }
+  };
 
-  // ---- Batch plan: same join order, same keys, same output order —
-  // VecHashJoin/VecCrossJoin emit rows exactly as their Volcano
-  // counterparts do, so the two plans are interchangeable bit for bit.
-  VecOpPtr vec_root;
-  if (vec_ok) {
-    auto make_vec_scan = [&](int t) -> VecOpPtr {
+  if (batch) {
+    // ---- Batch plan: columnar chunks through VecHashJoin/VecCrossJoin,
+    // which emit rows exactly as their Volcano counterparts do, so the
+    // two translations are interchangeable bit for bit.
+    auto make_scan = [&](int t) -> VecOpPtr {
       const TableRef& ref = query.tables[t];
       VecOpPtr op = std::make_unique<VecScanOp>(ref.table->id_view(),
                                                 ref.table->name());
@@ -344,40 +265,106 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
       }
       return op;
     };
-    VecOpPtr vroot = make_vec_scan(order[0]);
+    VecOpPtr root = make_scan(t0);
     for (size_t step = 1; step < order.size(); ++step) {
-      VecOpPtr vright = make_vec_scan(order[step]);
+      VecOpPtr right = make_scan(order[step]);
       if (steps[step].keys.empty()) {
-        vroot = std::make_unique<VecCrossJoinOp>(std::move(vroot),
-                                                 std::move(vright));
+        root = std::make_unique<VecCrossJoinOp>(std::move(root),
+                                                std::move(right));
+        explain_join("VecCrossJoin", step);
       } else {
-        vroot = std::make_unique<VecHashJoinOp>(
-            std::move(vroot), std::move(vright), steps[step].keys);
+        root = std::make_unique<VecHashJoinOp>(
+            std::move(root), std::move(right), steps[step].keys);
+        explain_join("VecHashJoin", step);
       }
       if (!steps[step].cycles.empty()) {
         std::vector<VecPredicate> residuals;
         for (const auto& [a, b] : steps[step].cycles) {
           residuals.push_back(VecPredicate::EqCols(a, b));
         }
-        vroot = std::make_unique<VecFilterOp>(std::move(vroot),
-                                              std::move(residuals));
+        root = std::make_unique<VecFilterOp>(std::move(root),
+                                             std::move(residuals));
       }
     }
     if (!out_cols.empty()) {
-      vroot = std::make_unique<VecProjectOp>(std::move(vroot), out_cols);
+      root = std::make_unique<VecProjectOp>(std::move(root), out_cols);
     }
     for (const AntiJoinRef& aj : query.anti_joins) {
-      vroot = std::make_unique<VecAntiJoinOp>(std::move(vroot), aj);
+      root = std::make_unique<VecAntiJoinOp>(std::move(root), aj);
     }
-    vec_root = std::move(vroot);
-    explain += StrFormat("Vectorized: batch plan (chunk=%u)\n", kVecChunkRows);
-  }
+    explain_tail();
+    plan.root = std::move(root);
+  } else {
+    // ---- Volcano plan: the lesion baseline, run behind a RowSourceOp.
+    auto make_scan = [&](int t) -> PhysicalOpPtr {
+      TableRef& ref = query.tables[t];
+      PhysicalOpPtr op = std::make_unique<SeqScanOp>(ref.table);
+      if (ref.filter != nullptr && !options_.disable_predicate_pushdown) {
+        op = std::make_unique<FilterOp>(std::move(op), std::move(ref.filter));
+      }
+      return op;
+    };
+    PhysicalOpPtr root = make_scan(t0);
+    for (size_t step = 1; step < order.size(); ++step) {
+      PhysicalOpPtr right = make_scan(order[step]);
+      const std::vector<JoinKey>& keys = steps[step].keys;
+      if (keys.empty()) {
+        root = std::make_unique<NestedLoopJoinOp>(std::move(root),
+                                                  std::move(right), keys);
+        explain_join("NestedLoop(cross)", step);
+      } else if (options_.enable_hash_join) {
+        root = std::make_unique<HashJoinOp>(std::move(root), std::move(right),
+                                            keys);
+        explain_join("HashJoin", step);
+      } else if (options_.enable_merge_join) {
+        root = std::make_unique<SortMergeJoinOp>(std::move(root),
+                                                 std::move(right), keys);
+        explain_join("SortMergeJoin", step);
+      } else {
+        root = std::make_unique<NestedLoopJoinOp>(std::move(root),
+                                                  std::move(right), keys);
+        explain_join("NestedLoopJoin", step);
+      }
+      if (!steps[step].cycles.empty()) {
+        std::vector<ExprPtr> residuals;
+        for (const auto& [a, b] : steps[step].cycles) {
+          residuals.push_back(Eq(Col(a), Col(b)));
+        }
+        root = std::make_unique<FilterOp>(std::move(root),
+                                          And(std::move(residuals)));
+      }
+    }
 
-  OptimizedPlan plan;
-  plan.root = std::move(root);
-  plan.vec_root = std::move(vec_root);
+    // Filters that were not pushed down (lesion mode): hoist each
+    // base-table predicate above the join tree, rebound to the table's
+    // column range.
+    if (options_.disable_predicate_pushdown) {
+      std::vector<ExprPtr> top_filters;
+      for (size_t t = 0; t < n; ++t) {
+        TableRef& ref = query.tables[t];
+        if (ref.filter == nullptr) continue;
+        int width = static_cast<int>(ref.table->schema().num_columns());
+        top_filters.push_back(std::make_unique<ShiftExpr>(
+            std::move(ref.filter), col_offset[t], width));
+      }
+      if (!top_filters.empty()) {
+        explain += StrFormat("Filter (%zu hoisted predicates)\n",
+                             top_filters.size());
+        root = std::make_unique<FilterOp>(std::move(root),
+                                          And(std::move(top_filters)));
+      }
+    }
+    if (!out_cols.empty()) {
+      root = std::make_unique<ProjectOp>(std::move(root), out_cols, out_names);
+    }
+    for (const AntiJoinRef& aj : query.anti_joins) {
+      root = std::make_unique<AntiJoinOp>(std::move(root), aj);
+    }
+    explain_tail();
+    if (options_.analyze) EnableAnalyze(root.get());
+    plan.root = std::make_unique<RowSourceOp>(std::move(root));
+  }
   plan.join_order = std::move(order);
-  plan.explain = std::move(explain);
   return plan;
 }
 

@@ -24,11 +24,11 @@ struct OptimizerOptions {
   /// If true, per-table filters stay above the joins (disables predicate
   /// pushdown). The default pushes filters onto the scans.
   bool disable_predicate_pushdown = false;
-  /// If true (default), Plan additionally emits a columnar batch plan
-  /// whenever every input relation has a narrow id view, every pushed
-  /// filter fits the VecPredicate grammar, and no join step needs more
-  /// than two key columns. Executors prefer vec_root when present; the
-  /// Volcano plan remains the lesion baseline.
+  /// If true (default), Plan builds the columnar batch plan (vec_ops.h);
+  /// every relation must then have an id view and every pushed filter
+  /// fit the VecPredicate grammar. False — like disabling hash joins or
+  /// predicate pushdown — builds the Volcano plan instead: the test
+  /// reference and the lesion baseline.
   bool enable_vectorized = true;
   /// Instruments the Volcano plan with per-operator timing so EXPLAIN
   /// output can include ANALYZE-style rows/time per operator. Batch
@@ -45,19 +45,17 @@ struct OptimizerOptions {
   bool enable_antijoin_pruning = true;
 };
 
-/// The optimized physical plan plus EXPLAIN-style metadata.
+/// The optimized physical plan plus EXPLAIN-style metadata. Plan builds
+/// one translation per call (see OptimizerOptions::enable_vectorized);
+/// either produces the same rows in the same order.
 struct OptimizedPlan {
-  PhysicalOpPtr root;
-  /// Equivalent columnar batch plan, or null when the query does not
-  /// qualify (see OptimizerOptions::enable_vectorized). Produces the
-  /// same rows in the same order as `root`.
-  VecOpPtr vec_root;
+  /// The batch plan, or the Volcano plan behind a RowSourceOp.
+  VecOpPtr root;
   /// Join order as indices into query.tables.
   std::vector<int> join_order;
-  /// Human-readable operator tree, one operator per line.
+  /// Human-readable operator tree, one operator per line, headed by the
+  /// translation ("Batch plan" or "Volcano plan").
   std::string explain;
-
-  bool vectorized() const { return vec_root != nullptr; }
 };
 
 /// A System R-lite optimizer for conjunctive queries: estimates

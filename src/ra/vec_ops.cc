@@ -21,8 +21,6 @@ class ScopedSeconds {
   double* acc_;
 };
 
-uint64_t HashKey(uint64_t key) { return SplitMix64(key); }
-
 size_t NextPow2(size_t n) {
   size_t p = 16;
   while (p < n) p <<= 1;
@@ -41,7 +39,48 @@ bool EvalPredicates(const std::vector<VecPredicate>& predicates,
   return true;
 }
 
+/// Hashes rows [0, rows) of the key columns `cols` into `out`, a column
+/// at a time: one SplitMix64 round per column folds it into the hash.
+void HashKeyColumns(const std::vector<const int64_t*>& cols, size_t rows,
+                    std::vector<uint64_t>* out) {
+  out->assign(rows, 0);
+  uint64_t* h = out->data();
+  for (const int64_t* col : cols) {
+    for (size_t r = 0; r < rows; ++r) {
+      h[r] = SplitMix64(h[r] ^ static_cast<uint64_t>(col[r]));
+    }
+  }
+}
+
+/// True when row `a` of the key columns `xs` equals row `b` of `ys`.
+bool SameKey(const std::vector<const int64_t*>& xs, size_t a,
+             const std::vector<const int64_t*>& ys, size_t b) {
+  for (size_t k = 0; k < xs.size(); ++k) {
+    if (xs[k][a] != ys[k][b]) return false;
+  }
+  return true;
+}
+
+/// Walks the anti-joins (of type AntiJoin) at the top of a plan of Ops
+/// and returns how many rows they dropped between them.
+template <typename AntiJoin, typename Op>
+uint64_t PrunedByAntiJoins(Op* op) {
+  const uint64_t out_rows = op->rows_produced();
+  while (dynamic_cast<AntiJoin*>(op) != nullptr) {
+    op->ForEachChild([&](Op* child) { op = child; });
+  }
+  return op->rows_produced() - out_rows;
+}
+
 }  // namespace
+
+// --------------------------------------------------------------- KeySlots
+
+void KeySlots::Reset(size_t rows) {
+  const size_t cap = NextPow2(rows * 2);
+  slots_.assign(cap, Slot{});
+  mask_ = cap - 1;
+}
 
 // ---------------------------------------------------------------- VecScan
 
@@ -141,36 +180,6 @@ VecHashJoinOp::VecHashJoinOp(VecOpPtr left, VecOpPtr right,
     : left_(std::move(left)), right_(std::move(right)), keys_(std::move(keys)) {
 }
 
-uint64_t VecHashJoinOp::PackBuildKey(size_t row) const {
-  if (keys_.size() == 1) {
-    return static_cast<uint64_t>(build_cols_[keys_[0].right_col][row]);
-  }
-  return (static_cast<uint64_t>(
-              static_cast<uint32_t>(build_cols_[keys_[0].right_col][row]))
-          << 32) |
-         static_cast<uint32_t>(build_cols_[keys_[1].right_col][row]);
-}
-
-uint64_t VecHashJoinOp::PackProbeKey(uint32_t row) const {
-  if (keys_.size() == 1) {
-    return static_cast<uint64_t>(probe_.col(keys_[0].left_col)[row]);
-  }
-  return (static_cast<uint64_t>(
-              static_cast<uint32_t>(probe_.col(keys_[0].left_col)[row]))
-          << 32) |
-         static_cast<uint32_t>(probe_.col(keys_[1].left_col)[row]);
-}
-
-int32_t VecHashJoinOp::Lookup(uint64_t key) const {
-  if (build_rows_ == 0) return -1;
-  size_t slot = HashKey(key) & slot_mask_;
-  while (slot_head_[slot] >= 0) {
-    if (slot_key_[slot] == key) return slot_head_[slot];
-    slot = (slot + 1) & slot_mask_;
-  }
-  return -1;
-}
-
 Status VecHashJoinOp::Open() {
   ScopedSeconds t(&seconds_);
   rows_produced_ = 0;
@@ -193,23 +202,24 @@ Status VecHashJoinOp::Open() {
     build_rows_ += chunk.num_rows;
   }
 
-  // Open-addressing index over packed keys. Rows are inserted in reverse
-  // so each duplicate chain lists build rows in ascending (insertion)
-  // order — the order HashJoinOp's bucket vectors emit.
-  const size_t cap = NextPow2(build_rows_ * 2);
-  slot_key_.assign(cap, 0);
-  slot_head_.assign(cap, -1);
-  slot_mask_ = cap - 1;
+  // Rows are inserted in reverse so each key's chain lists build rows in
+  // ascending (insertion) order — the order HashJoinOp's bucket vectors
+  // emit.
+  build_key_cols_.clear();
+  for (const JoinKey& k : keys_) {
+    build_key_cols_.push_back(build_cols_[k.right_col].data());
+  }
+  std::vector<uint64_t> hashes;
+  HashKeyColumns(build_key_cols_, build_rows_, &hashes);
+  slots_.Reset(build_rows_);
   next_.assign(build_rows_, -1);
   for (size_t i = build_rows_; i-- > 0;) {
-    const uint64_t key = PackBuildKey(i);
-    size_t slot = HashKey(key) & slot_mask_;
-    while (slot_head_[slot] >= 0 && slot_key_[slot] != key) {
-      slot = (slot + 1) & slot_mask_;
-    }
-    next_[i] = slot_head_[slot];
-    slot_key_[slot] = key;
-    slot_head_[slot] = static_cast<int32_t>(i);
+    KeySlots::Slot& slot = slots_.Find(hashes[i], [&](int32_t r) {
+      return SameKey(build_key_cols_, r, build_key_cols_, i);
+    });
+    next_[i] = slot.row;
+    slot.hash = hashes[i];
+    slot.row = static_cast<int32_t>(i);
   }
 
   probe_valid_ = false;
@@ -237,8 +247,16 @@ Result<bool> VecHashJoinOp::NextChunk(ColumnChunk* out) {
         }
         probe_valid_ = true;
         probe_row_ = 0;
+        probe_key_cols_.clear();
+        for (const JoinKey& k : keys_) {
+          probe_key_cols_.push_back(probe_.col(k.left_col));
+        }
+        HashKeyColumns(probe_key_cols_, probe_.num_rows, &probe_hash_);
       }
-      chain_ = Lookup(PackProbeKey(probe_row_));
+      const uint32_t row = probe_row_;
+      chain_ = slots_.Find(probe_hash_[row], [&](int32_t b) {
+        return SameKey(build_key_cols_, b, probe_key_cols_, row);
+      }).row;
       continue;
     }
     for (size_t c = 0; c < ncols_left; ++c) {
@@ -261,8 +279,7 @@ void VecHashJoinOp::Close() {
   left_->Close();
   right_->Close();
   build_cols_.clear();
-  slot_key_.clear();
-  slot_head_.clear();
+  slots_.Clear();
   next_.clear();
   build_rows_ = 0;
 }
@@ -354,80 +371,10 @@ void VecCrossJoinOp::Close() {
 
 // ------------------------------------------------------------ VecAntiJoin
 
-namespace {
-
-/// Packs up to four narrow (31-bit) values into a 128-bit key as two
-/// words. The layout is fixed per operator by the key-column count, so
-/// distinct tuples never collide: one column uses the value verbatim
-/// (64-bit safe), two or more pack each value into a 32-bit half.
-inline void Pack128(const int64_t* v, size_t n, uint64_t* lo, uint64_t* hi) {
-  switch (n) {
-    case 1:
-      *lo = static_cast<uint64_t>(v[0]);
-      *hi = 0;
-      break;
-    case 2:
-      *lo = (static_cast<uint64_t>(static_cast<uint32_t>(v[0])) << 32) |
-            static_cast<uint32_t>(v[1]);
-      *hi = 0;
-      break;
-    case 3:
-      *lo = (static_cast<uint64_t>(static_cast<uint32_t>(v[0])) << 32) |
-            static_cast<uint32_t>(v[1]);
-      *hi = static_cast<uint32_t>(v[2]);
-      break;
-    default:
-      *lo = (static_cast<uint64_t>(static_cast<uint32_t>(v[0])) << 32) |
-            static_cast<uint32_t>(v[1]);
-      *hi = (static_cast<uint64_t>(static_cast<uint32_t>(v[2])) << 32) |
-            static_cast<uint32_t>(v[3]);
-      break;
-  }
-}
-
-}  // namespace
-
 VecAntiJoinOp::VecAntiJoinOp(VecOpPtr child, AntiJoinRef ref)
     : child_(std::move(child)), ref_(std::move(ref)) {
   CompileAntiJoinKeys(ref_, &const_checks_, &dup_checks_, &key_build_cols_,
                       &key_probe_cols_);
-  wide_ = key_build_cols_.size() > 2;
-}
-
-void VecAntiJoinOp::PackProbeKey(const ColumnChunk& chunk, uint32_t row,
-                                 uint64_t* lo, uint64_t* hi) const {
-  int64_t v[4] = {0, 0, 0, 0};
-  for (size_t i = 0; i < key_probe_cols_.size(); ++i) {
-    v[i] = chunk.col(key_probe_cols_[i])[row];
-  }
-  Pack128(v, key_probe_cols_.size(), lo, hi);
-}
-
-void VecAntiJoinOp::PackBuildKey(const IdTable& build, size_t row,
-                                 uint64_t* lo, uint64_t* hi) const {
-  int64_t v[4] = {0, 0, 0, 0};
-  for (size_t i = 0; i < key_build_cols_.size(); ++i) {
-    v[i] = build.col(key_build_cols_[i])[row];
-  }
-  Pack128(v, key_build_cols_.size(), lo, hi);
-}
-
-uint64_t VecAntiJoinOp::HashSlot(uint64_t lo, uint64_t hi) const {
-  // The narrow (<= 2 column) path hashes the single word exactly as it
-  // always did; the wide path folds the second word in first.
-  return wide_ ? HashKey(lo ^ SplitMix64(hi)) : HashKey(lo);
-}
-
-bool VecAntiJoinOp::Contains(uint64_t lo, uint64_t hi) const {
-  if (build_keys_ == 0) return false;
-  size_t slot = HashSlot(lo, hi) & slot_mask_;
-  while (slot_used_[slot] != 0) {
-    if (slot_key_[slot] == lo && (!wide_ || slot_key_hi_[slot] == hi)) {
-      return true;
-    }
-    slot = (slot + 1) & slot_mask_;
-  }
-  return false;
 }
 
 Status VecAntiJoinOp::Open() {
@@ -438,11 +385,11 @@ Status VecAntiJoinOp::Open() {
   build_keys_ = 0;
 
   const IdTable& build = *ref_.build;
-  const size_t cap = NextPow2(build.num_rows() * 2);
-  slot_key_.assign(cap, 0);
-  if (wide_) slot_key_hi_.assign(cap, 0);
-  slot_used_.assign(cap, 0);
-  slot_mask_ = cap - 1;
+  build_key_cols_.clear();
+  for (int c : key_build_cols_) build_key_cols_.push_back(build.col(c).data());
+  std::vector<uint64_t> hashes;
+  HashKeyColumns(build_key_cols_, build.num_rows(), &hashes);
+  slots_.Reset(build.num_rows());
   for (size_t r = 0; r < build.num_rows(); ++r) {
     if (!AntiJoinBuildRowQualifies(build, r, const_checks_, dup_checks_)) {
       continue;
@@ -453,17 +400,12 @@ Status VecAntiJoinOp::Open() {
       match_all_ = true;
       break;
     }
-    uint64_t lo, hi;
-    PackBuildKey(build, r, &lo, &hi);
-    size_t slot = HashSlot(lo, hi) & slot_mask_;
-    while (slot_used_[slot] != 0 &&
-           !(slot_key_[slot] == lo && (!wide_ || slot_key_hi_[slot] == hi))) {
-      slot = (slot + 1) & slot_mask_;
-    }
-    if (slot_used_[slot] == 0) {
-      slot_used_[slot] = 1;
-      slot_key_[slot] = lo;
-      if (wide_) slot_key_hi_[slot] = hi;
+    KeySlots::Slot& slot = slots_.Find(hashes[r], [&](int32_t b) {
+      return SameKey(build_key_cols_, b, build_key_cols_, r);
+    });
+    if (slot.row < 0) {
+      slot.hash = hashes[r];
+      slot.row = static_cast<int32_t>(r);
       ++build_keys_;
     }
   }
@@ -492,11 +434,16 @@ Result<bool> VecAntiJoinOp::NextChunk(ColumnChunk* out) {
       ++chunks_produced_;
       return true;
     }
+    probe_key_cols_.clear();
+    for (int c : key_probe_cols_) probe_key_cols_.push_back(scratch_.col(c));
+    HashKeyColumns(probe_key_cols_, scratch_.num_rows, &probe_hash_);
     sel_.clear();
     for (uint32_t r = 0; r < scratch_.num_rows; ++r) {
-      uint64_t lo, hi;
-      PackProbeKey(scratch_, r, &lo, &hi);
-      if (!Contains(lo, hi)) sel_.push_back(r);
+      const KeySlots::Slot& slot =
+          slots_.Find(probe_hash_[r], [&](int32_t b) {
+            return SameKey(build_key_cols_, b, probe_key_cols_, r);
+          });
+      if (slot.row < 0) sel_.push_back(r);
     }
     if (sel_.empty()) continue;
     out->Reset(scratch_.num_cols());
@@ -515,10 +462,39 @@ Result<bool> VecAntiJoinOp::NextChunk(ColumnChunk* out) {
 
 void VecAntiJoinOp::Close() {
   child_->Close();
-  slot_key_.clear();
-  slot_key_hi_.clear();
-  slot_used_.clear();
+  slots_.Clear();
   build_keys_ = 0;
+}
+
+// -------------------------------------------------------------- RowSource
+
+Status RowSourceOp::Open() {
+  ScopedSeconds t(&seconds_);
+  rows_produced_ = 0;
+  chunks_produced_ = 0;
+  return root_->Open();
+}
+
+Result<bool> RowSourceOp::NextChunk(ColumnChunk* out) {
+  ScopedSeconds t(&seconds_);
+  const size_t num_cols = num_output_cols();
+  out->Reset(num_cols);
+  while (out->num_rows < kVecChunkRows) {
+    TUFFY_ASSIGN_OR_RETURN(bool has, root_->Next(&row_));
+    if (!has) break;
+    for (size_t c = 0; c < num_cols; ++c) {
+      if (!row_[c].is_int64()) {
+        return Status::InvalidArgument("row source: value is not an int64 id");
+      }
+      out->cols[c].push_back(row_[c].int64());
+    }
+    ++out->num_rows;
+  }
+  if (out->num_rows == 0) return false;
+  out->SealOwned();
+  rows_produced_ += out->num_rows;
+  ++chunks_produced_;
+  return true;
 }
 
 // --------------------------------------------------------------- Helpers
@@ -543,8 +519,19 @@ void AppendVecAnalyze(const VecOp* root, int depth, std::string* out) {
                     static_cast<unsigned long long>(root->rows_produced()),
                     static_cast<unsigned long long>(root->chunks_produced()),
                     root->seconds() * 1e3);
+  if (const auto* source = dynamic_cast<const RowSourceOp*>(root)) {
+    AppendAnalyze(source->volcano(), depth + 1, out);
+    return;
+  }
   root->ForEachChild(
       [&](const VecOp* child) { AppendVecAnalyze(child, depth + 1, out); });
+}
+
+uint64_t AntiJoinPrunedRows(const VecOp* root) {
+  if (const auto* source = dynamic_cast<const RowSourceOp*>(root)) {
+    return PrunedByAntiJoins<AntiJoinOp>(source->volcano());
+  }
+  return PrunedByAntiJoins<const VecAntiJoinOp>(root);
 }
 
 }  // namespace tuffy

@@ -63,8 +63,8 @@ struct ColumnChunk {
 
 /// The predicate forms MLN grounding pushes into scans (constant
 /// arguments, repeated variables, evidence-truth tests) and the cycle
-/// residuals the optimizer hoists above joins. Anything outside this
-/// grammar keeps the query on the Volcano path.
+/// residuals the optimizer hoists above joins. The batch plan accepts no
+/// pushed filter outside this grammar.
 struct VecPredicate {
   enum class Kind { kColEqConst, kColEqCol };
   Kind kind = Kind::kColEqConst;
@@ -188,17 +188,45 @@ class VecProjectOp final : public VecOp {
   ColumnChunk scratch_;
 };
 
-/// Batch build/probe equi-join on one or two key columns. The build side
-/// (right input) is materialized into flat columns and indexed by an
-/// open-addressing table: power-of-two slot array of (packed key, chain
-/// head), linear probing, with per-row `next` links for duplicate keys.
-/// Chains preserve build-row order, and the probe side streams in input
-/// order, so output order matches HashJoinOp exactly (grounding equality
-/// tests compare the two paths bit for bit).
-///
-/// Keys are packed into one uint64: the single-column key verbatim, the
-/// dual-column key as two 32-bit halves (the optimizer only emits this
-/// op over narrow id tables). Wider key sets stay on the Volcano path.
+/// Open-addressing index from a multi-column int64 key to one build row
+/// per distinct key: a power-of-two slot array with linear probing, each
+/// slot holding the key's 64-bit hash (one SplitMix64 round per key
+/// column) and a build-row index. Keys are compared column by column only when the hashes
+/// match, so keys of any width and any int64 values index exactly.
+class KeySlots {
+ public:
+  struct Slot {
+    uint64_t hash = 0;
+    int32_t row = -1;  // < 0: empty
+  };
+
+  /// Empties the index and sizes it for up to `rows` distinct keys.
+  void Reset(size_t rows);
+  void Clear() { slots_.clear(); }
+
+  /// The slot holding the key with `hash` for which `same_key(row)`
+  /// holds, or the empty slot where that key would be inserted.
+  template <typename SameKey>
+  Slot& Find(uint64_t hash, const SameKey& same_key) {
+    size_t s = hash & mask_;
+    while (slots_[s].row >= 0 &&
+           !(slots_[s].hash == hash && same_key(slots_[s].row))) {
+      s = (s + 1) & mask_;
+    }
+    return slots_[s];
+  }
+
+ private:
+  std::vector<Slot> slots_;
+  uint64_t mask_ = 0;
+};
+
+/// Batch build/probe equi-join on any number of key columns. The build
+/// side (right input) is materialized into flat columns and indexed by
+/// KeySlots: a slot holds the head of a per-key chain of build rows
+/// (`next` links). Chains preserve build-row order, and the probe side
+/// streams in input order, so output order matches HashJoinOp exactly
+/// (grounding equality tests compare the two translations bit for bit).
 class VecHashJoinOp final : public VecOp {
  public:
   VecHashJoinOp(VecOpPtr left, VecOpPtr right, std::vector<JoinKey> keys);
@@ -217,11 +245,6 @@ class VecHashJoinOp final : public VecOp {
   }
 
  private:
-  uint64_t PackBuildKey(size_t row) const;
-  uint64_t PackProbeKey(uint32_t row) const;
-  /// Returns the chain head for `key`, or -1.
-  int32_t Lookup(uint64_t key) const;
-
   VecOpPtr left_;
   VecOpPtr right_;
   std::vector<JoinKey> keys_;
@@ -229,13 +252,14 @@ class VecHashJoinOp final : public VecOp {
   // Build side, materialized column-wise.
   std::vector<std::vector<int64_t>> build_cols_;
   size_t build_rows_ = 0;
-  std::vector<uint64_t> slot_key_;
-  std::vector<int32_t> slot_head_;
+  std::vector<const int64_t*> build_key_cols_;
+  KeySlots slots_;
   std::vector<int32_t> next_;
-  uint64_t slot_mask_ = 0;
 
   // Probe state across NextChunk calls.
   ColumnChunk probe_;
+  std::vector<const int64_t*> probe_key_cols_;
+  std::vector<uint64_t> probe_hash_;
   uint32_t probe_row_ = 0;
   bool probe_valid_ = false;
   int32_t chain_ = -1;
@@ -273,16 +297,12 @@ class VecCrossJoinOp final : public VecOp {
   size_t right_pos_ = 0;
 };
 
-/// Batch hash anti-join against an evidence side table — the vectorized
-/// twin of AntiJoinOp, restricted to <= 4 distinct probe columns. Narrow
-/// build sides guarantee 31-bit values, so one or two key columns pack
-/// into a single uint64 (the original fast path, untouched); three or
-/// four pack into a 128-bit key held as two words in parallel slot
-/// arrays. Both layouts index the same open-addressing set as
-/// VecHashJoinOp (key set only: no chains, a slot is just occupied or
-/// not). Child rows whose packed probe key is present are dropped;
-/// surviving rows keep their order, so the plan stays bit-compatible
-/// with the Volcano translation.
+/// Batch hash anti-join against an evidence side table — the batch twin
+/// of AntiJoinOp, for any number of probe columns. The qualifying build
+/// rows are indexed by KeySlots (one representative row per distinct
+/// key); child rows whose probe key is present are dropped, and the
+/// survivors keep their order, so the plan prunes exactly as the Volcano
+/// translation does.
 class VecAntiJoinOp final : public VecOp {
  public:
   VecAntiJoinOp(VecOpPtr child, AntiJoinRef ref);
@@ -302,33 +322,47 @@ class VecAntiJoinOp final : public VecOp {
   }
 
  private:
-  void PackProbeKey(const ColumnChunk& chunk, uint32_t row, uint64_t* lo,
-                    uint64_t* hi) const;
-  void PackBuildKey(const IdTable& build, size_t row, uint64_t* lo,
-                    uint64_t* hi) const;
-  uint64_t HashSlot(uint64_t lo, uint64_t hi) const;
-  bool Contains(uint64_t lo, uint64_t hi) const;
-
   VecOpPtr child_;
   AntiJoinRef ref_;
   std::vector<std::pair<int, int64_t>> const_checks_;
   std::vector<std::pair<int, int>> dup_checks_;
   std::vector<int> key_build_cols_;
   std::vector<int> key_probe_cols_;
-  /// More than two key columns: keys are 128-bit, slot_key_hi_ holds the
-  /// second word. One or two columns keep the original single-word path
-  /// (slot_key_hi_ stays empty).
-  bool wide_ = false;
 
-  std::vector<uint64_t> slot_key_;
-  std::vector<uint64_t> slot_key_hi_;
-  std::vector<uint8_t> slot_used_;
-  uint64_t slot_mask_ = 0;
+  KeySlots slots_;
   size_t build_keys_ = 0;
   bool match_all_ = false;
 
+  std::vector<const int64_t*> build_key_cols_;
   ColumnChunk scratch_;
+  std::vector<const int64_t*> probe_key_cols_;
+  std::vector<uint64_t> probe_hash_;
   std::vector<uint32_t> sel_;
+};
+
+/// Adapts a Volcano (row-at-a-time) plan to the batch interface: each
+/// chunk gathers up to kVecChunkRows rows of the wrapped plan, whose
+/// output values must all be int64 ids. The optimizer's lesion
+/// translations run behind it, so a plan's consumer drives one chunk
+/// loop whichever translation was built.
+class RowSourceOp final : public VecOp {
+ public:
+  explicit RowSourceOp(PhysicalOpPtr root) : root_(std::move(root)) {}
+
+  Status Open() override;
+  Result<bool> NextChunk(ColumnChunk* out) override;
+  void Close() override { root_->Close(); }
+  size_t num_output_cols() const override {
+    return root_->output_schema().num_columns();
+  }
+  std::string name() const override { return "RowSource"; }
+
+  /// The wrapped Volcano plan (EXPLAIN ANALYZE, operator counters).
+  PhysicalOp* volcano() const { return root_.get(); }
+
+ private:
+  PhysicalOpPtr root_;
+  Row row_;
 };
 
 /// Runs a batch plan to completion, invoking `fn` on every output chunk.
@@ -336,8 +370,14 @@ Status ForEachChunk(VecOp* root,
                     const std::function<Status(const ColumnChunk&)>& fn);
 
 /// Appends one line per operator (rows, chunks, inclusive milliseconds)
-/// to `out` — the EXPLAIN ANALYZE rendering of a batch plan.
+/// to `out` — the EXPLAIN ANALYZE rendering of a plan. A RowSourceOp's
+/// Volcano plan is rendered below it with AppendAnalyze.
 void AppendVecAnalyze(const VecOp* root, int depth, std::string* out);
+
+/// Rows the evidence anti-joins at the top of an executed plan dropped:
+/// rows reaching the lowest anti-join minus rows leaving the top one,
+/// read off the operator counters of either translation.
+uint64_t AntiJoinPrunedRows(const VecOp* root);
 
 }  // namespace tuffy
 

@@ -660,7 +660,6 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
   poisoned_ = true;  // disarmed only when the whole restore succeeds
 
   const size_t num_preds = program_.num_predicates();
-  std::vector<int64_t> row;
   for (PredicateId p = 0; p < static_cast<PredicateId>(num_preds); ++p) {
     const size_t arity = program_.predicate(p).arity();
     for (int polarity = 0; polarity < 2; ++polarity) {
@@ -670,22 +669,14 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
           (ncols == 0 && nrows != 0)) {
         return Status::Corruption("snapshot: malformed side table header");
       }
-      // Column-major on the wire, row-major through AppendRow so the
-      // narrow flag is recomputed exactly as live maintenance would.
+      // Column-major on the wire, as the IdTable stores it.
       std::vector<std::vector<int64_t>> cols(ncols);
       for (uint32_t c = 0; c < ncols; ++c) {
         cols[c].reserve(nrows);
         for (uint64_t i = 0; i < nrows; ++i) cols[c].push_back(in->I64());
       }
       if (!in->ok()) return Status::Corruption("snapshot: side table rows");
-      IdTable t;
-      t.Init(ncols);
-      row.resize(ncols);
-      for (uint64_t i = 0; i < nrows; ++i) {
-        for (uint32_t c = 0; c < ncols; ++c) row[c] = cols[c][i];
-        t.AppendRow(row);
-      }
-      side_tables_.RestoreSide(p, polarity == 1, std::move(t));
+      side_tables_.RestoreSide(p, polarity == 1, IdTable(std::move(cols)));
     }
   }
 

@@ -2,12 +2,13 @@
 //
 // 1. RA level: AntiJoinOp and VecAntiJoinOp drop exactly the same rows
 //    in the same order on every key shape the grounding compiler emits
-//    (single/dual variable keys, constants, repeated variables, ground
-//    literals).
+//    (one to five variable keys, constants, repeated variables, ground
+//    literals, ids outside the 31-bit range).
 // 2. Grounding level: plan-level pruning versus unpruned resolution is
 //    bit-identical on the RC and LP generators — same atoms, same
 //    clauses, same order, same fixed cost — while resolving strictly
-//    fewer rows.
+//    fewer rows; and the batch and Volcano translations ground a rule
+//    with a 3-key join and a 5-column anti-join bit-identically.
 // 3. Side tables: incremental maintenance through the EvidenceDb
 //    listener hook equals a from-scratch Rebuild after any add /
 //    overwrite / retract sequence.
@@ -20,11 +21,14 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "datagen/datasets.h"
 #include "ground/bottom_up_grounder.h"
+#include "grounding_compare.h"
 #include "mln/parser.h"
+#include "obs/metrics.h"
 #include "ra/operators.h"
 #include "ra/optimizer.h"
 #include "ra/vec_ops.h"
@@ -54,22 +58,6 @@ IdTable MakeBuildTable(size_t num_cols, const RowsInt& rows) {
   t.Init(num_cols);
   for (const auto& row : rows) t.AppendRow(row);
   return t;
-}
-
-RowsInt MaterializeVolcano(PhysicalOp* root) {
-  RowsInt out;
-  EXPECT_TRUE(root->Open().ok());
-  Row row;
-  while (true) {
-    auto has = root->Next(&row);
-    EXPECT_TRUE(has.ok());
-    if (!has.value()) break;
-    std::vector<int64_t> vals;
-    for (const Datum& d : row) vals.push_back(d.int64());
-    out.push_back(std::move(vals));
-  }
-  root->Close();
-  return out;
 }
 
 RowsInt MaterializeVec(VecOp* root) {
@@ -103,12 +91,15 @@ void ExpectAntiJoinAgrees(const Table& probe, AntiJoinRef ref,
     q.anti_joins.push_back(ref);
     return q;
   };
-  Optimizer optimizer{OptimizerOptions{}};
-  auto plan = optimizer.Plan(make_query());
-  ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(plan.value().vectorized()) << plan.value().explain;
-  RowsInt volcano = MaterializeVolcano(plan.value().root.get());
-  RowsInt vec = MaterializeVec(plan.value().vec_root.get());
+  OptimizerOptions volcano_opts;
+  volcano_opts.enable_vectorized = false;
+  auto batch_plan = Optimizer(OptimizerOptions{}).Plan(make_query());
+  auto volcano_plan = Optimizer(volcano_opts).Plan(make_query());
+  ASSERT_TRUE(batch_plan.ok());
+  ASSERT_TRUE(volcano_plan.ok());
+  ASSERT_NE(batch_plan.value().explain.find("Batch plan"), std::string::npos);
+  RowsInt volcano = MaterializeVec(volcano_plan.value().root.get());
+  RowsInt vec = MaterializeVec(batch_plan.value().root.get());
   EXPECT_EQ(volcano, vec);
 
   // Brute force: drop a probe row iff some build row matches every term.
@@ -210,7 +201,7 @@ Table MakeWideProbe(int num_cols, int num_rows, int mod, uint64_t seed) {
   return t;
 }
 
-TEST(AntiJoinOpTest, TripleKeyPacksInto128Bits) {
+TEST(AntiJoinOpTest, TripleKey) {
   Table probe = MakeWideProbe(3, 500, 4, 7);
   RowsInt rows;
   for (int a = 0; a < 4; ++a) rows.push_back({a, (a + 1) % 4, (a + 2) % 4});
@@ -222,7 +213,7 @@ TEST(AntiJoinOpTest, TripleKeyPacksInto128Bits) {
   ExpectAntiJoinAgrees(probe, ref, 3);
 }
 
-TEST(AntiJoinOpTest, QuadKeyPacksInto128Bits) {
+TEST(AntiJoinOpTest, QuadKey) {
   Table probe = MakeWideProbe(4, 600, 3, 8);
   RowsInt rows;
   for (int a = 0; a < 3; ++a) {
@@ -237,54 +228,60 @@ TEST(AntiJoinOpTest, QuadKeyPacksInto128Bits) {
 }
 
 TEST(AntiJoinOpTest, QuadKeyWithConstantAndWideValues) {
-  // Four probe columns plus a constant term, with values near the top of
-  // the narrow range: the 32-bit halves must not collide or truncate.
-  const int64_t big = (int64_t{1} << 31) - 3;
-  Table probe = MakeWideProbe(4, 64, 2, 9);
-  // Rewrite column c so some rows carry `big`-scale values.
-  Table shifted("w", Schema({{"a", ColumnType::kInt64},
-                             {"b", ColumnType::kInt64},
-                             {"c", ColumnType::kInt64},
-                             {"d", ColumnType::kInt64}}));
+  // Four probe columns plus a constant term, with negative ids and ids
+  // at or past 2^31 and 2^32 — including pairs that agree in their low
+  // 32 bits. Distinct tuples must never match.
+  const int64_t k31 = int64_t{1} << 31;
+  const int64_t k32 = int64_t{1} << 32;
+  const std::vector<int64_t> values = {0, 1, k31 - 3, k31, k32, k32 + 1,
+                                       -1, -k32};
+  Table probe = MakeWideProbe(4, 400, static_cast<int>(values.size()), 9);
+  Table mapped("w", Schema({{"a", ColumnType::kInt64},
+                            {"b", ColumnType::kInt64},
+                            {"c", ColumnType::kInt64},
+                            {"d", ColumnType::kInt64}}));
   for (const Row& r : probe.rows()) {
-    shifted.Append({Datum(r[0].int64() == 0 ? int64_t{0} : big),
-                    Datum(r[1].int64()), Datum(r[2].int64() + big - 1),
-                    Datum(r[3].int64())});
+    Row row;
+    for (const Datum& d : r) row.push_back(Datum(values[d.int64()]));
+    mapped.Append(std::move(row));
   }
-  shifted.Analyze();
-  IdTable build = MakeBuildTable(5, {{1, big, 0, big - 1, 1},
-                                     {1, 0, 1, big, 0}});
+  // The first row shares its low 32 bits with the second, which the
+  // build side below holds.
+  mapped.Append({Datum(int64_t{0}), Datum(int64_t{1}), Datum(int64_t{1}),
+                 Datum(int64_t{0})});
+  mapped.Append({Datum(k32), Datum(int64_t{1}), Datum(k32 + 1),
+                 Datum(int64_t{0})});
+  mapped.Analyze();
+  RowsInt build_rows;
+  for (size_t i = 0; i < 40; ++i) {
+    const Row& r = mapped.row(i * 7 % mapped.num_rows());
+    build_rows.push_back({1, r[0].int64(), r[1].int64(), r[2].int64(),
+                          r[3].int64()});
+  }
+  build_rows.push_back({1, k32, 1, k32 + 1, 0});
+  IdTable build = MakeBuildTable(5, build_rows);
   AntiJoinRef ref;
   ref.build = &build;
   ref.terms.push_back(AntiJoinTerm{-1, 1});  // constant column
   for (int c = 0; c < 4; ++c) ref.terms.push_back(AntiJoinTerm{c, 0});
   ref.label = "quad_const";
-  ExpectAntiJoinAgrees(shifted, ref, 4);
+  ExpectAntiJoinAgrees(mapped, ref, 4);
 }
 
-TEST(AntiJoinOpTest, FiveKeyFallsBackToVolcano) {
-  Table probe = MakeWideProbe(5, 30, 3, 10);
-  RowsInt rows = {{0, 1, 2, 0, 1}};
+TEST(AntiJoinOpTest, FiveKey) {
+  Table probe = MakeWideProbe(5, 300, 3, 10);
+  RowsInt rows;
+  for (size_t i = 0; i < probe.num_rows(); i += 3) {
+    std::vector<int64_t> row;
+    for (const Datum& d : probe.row(i)) row.push_back(d.int64());
+    rows.push_back(std::move(row));
+  }
   IdTable build = MakeBuildTable(5, rows);
-  ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&probe, nullptr, "w", 1.0});
-  for (int c = 0; c < 5; ++c) q.outputs.push_back(OutputCol{0, c, "x"});
   AntiJoinRef ref;
   ref.build = &build;
   for (int c = 0; c < 5; ++c) ref.terms.push_back(AntiJoinTerm{c, 0});
   ref.label = "wide";
-  q.anti_joins.push_back(std::move(ref));
-  auto plan = Optimizer(OptimizerOptions{}).Plan(std::move(q));
-  ASSERT_TRUE(plan.ok());
-  // Five distinct probe columns exceed even the 128-bit packed-key
-  // layout: the whole query stays on the Volcano operators so both
-  // translations would prune identically.
-  EXPECT_FALSE(plan.value().vectorized());
-  RowsInt rows_out = MaterializeVolcano(plan.value().root.get());
-  for (const auto& r : rows_out) {
-    EXPECT_FALSE(r[0] == 0 && r[1] == 1 && r[2] == 2 && r[3] == 0 &&
-                 r[4] == 1);
-  }
+  ExpectAntiJoinAgrees(probe, ref, 5);
 }
 
 // ------------------------------------------------ grounding equivalence
@@ -397,6 +394,67 @@ TEST(AntiJoinGroundingTest, GroundLiteralMatchAllKeepsAccountingExact) {
   EXPECT_EQ(pruned_vec.stats.candidates, pruned_vol.stats.candidates);
 }
 
+TEST(AntiJoinGroundingTest, WideKeysGroundIdenticallyInBothTranslations) {
+  // Rule 0 joins two binding literals on three shared variables and
+  // anti-joins five distinct head variables against q's evidence; rule
+  // 1 joins on a permutation of the three and probes a repeated
+  // variable. The batch and Volcano translations must ground the same
+  // store, at one thread and at four, and prune the same rows.
+  auto program = ParseProgram(
+      "*r(t, t, t)\n"
+      "*s(t, t, t)\n"
+      "q(t, t, t, t, t)\n"
+      "1 r(a, b, c), s(a, b, c) => q(a, b, c, d, e)\n"
+      "2 s(a, b, c), r(c, b, a) => q(c, b, a, d, a)\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  MlnProgram prog = program.TakeValue();
+  Rng rng(17);
+  auto constant = [&] { return "C" + std::to_string(rng.Uniform(4)); };
+  std::string evidence_text;
+  for (int i = 0; i < 40; ++i) {
+    const std::string abc = constant() + ", " + constant() + ", " + constant();
+    evidence_text += "r(" + abc + ")\n";
+    if (i % 2 == 0) evidence_text += "s(" + abc + ")\n";
+    evidence_text += std::string(i % 3 == 0 ? "!" : "") + "q(" + abc + ", " +
+                     constant() + ", " + constant() + ")\n";
+  }
+  EvidenceDb evidence;
+  ASSERT_TRUE(ParseEvidence(evidence_text, &prog, &evidence).ok());
+
+  Counter* pruned_counter =
+      MetricsRegistry::Global().GetCounter("ground.pruned.antijoin");
+  auto run = [&](bool vectorized, int threads, uint64_t* counted) {
+    GroundingOptions gopts;
+    gopts.num_threads = threads;
+    OptimizerOptions oopts;
+    oopts.enable_vectorized = vectorized;
+    BottomUpGrounder g(prog, evidence, gopts, oopts);
+    const uint64_t before = pruned_counter->Value();
+    auto r = g.Ground();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    *counted = pruned_counter->Value() - before;
+    EXPECT_NE(g.explain().find(vectorized ? "Batch plan" : "Volcano plan"),
+              std::string::npos);
+    EXPECT_NE(g.explain().find("(keys=3)"), std::string::npos);
+    EXPECT_NE(g.explain().find("AntiJoin ev_true_q"), std::string::npos);
+    return r.TakeValue();
+  };
+  uint64_t counted_batch = 0;
+  uint64_t counted = 0;
+  GroundingResult batch = run(true, 1, &counted_batch);
+  EXPECT_GT(batch.stats.pruned_by_antijoin, 0u);
+  EXPECT_EQ(counted_batch, batch.stats.pruned_by_antijoin);
+  EXPECT_GT(batch.clauses.num_clauses(), 0u);
+  for (bool vectorized : {true, false}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "vectorized=" << vectorized
+                                      << " threads=" << threads);
+      ExpectSameGrounding(batch, run(vectorized, threads, &counted));
+      EXPECT_EQ(counted, counted_batch);
+    }
+  }
+}
+
 // --------------------------------------------------- side-table upkeep
 
 /// Sorted row set of one side-table relation.
@@ -449,7 +507,6 @@ TEST(EvidenceSideTablesTest, IncrementalEqualsRebuilt) {
       EXPECT_EQ(RowSet(incremental.rows(p, truth)),
                 RowSet(rebuilt.rows(p, truth)))
           << "pred " << p << " truth " << truth;
-      EXPECT_EQ(incremental.rows(p, truth).narrow(), true);
     }
   }
 }

@@ -51,6 +51,23 @@ std::vector<std::vector<int64_t>> Collect(PhysicalOp* op) {
   return out;
 }
 
+/// Runs an optimized plan (either translation) to completion.
+std::vector<std::vector<int64_t>> Collect(VecOp* root) {
+  std::vector<std::vector<int64_t>> out;
+  Status st = ForEachChunk(root, [&](const ColumnChunk& chunk) {
+    for (uint32_t r = 0; r < chunk.num_rows; ++r) {
+      std::vector<int64_t> vals;
+      for (size_t c = 0; c < chunk.num_cols(); ++c) {
+        vals.push_back(chunk.col(c)[r]);
+      }
+      out.push_back(std::move(vals));
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
 class RaPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RaPropertyTest, SortMatchesStdSort) {

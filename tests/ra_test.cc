@@ -143,6 +143,23 @@ std::multiset<std::vector<int64_t>> Materialize(PhysicalOp* op) {
   return out;
 }
 
+/// Runs an optimized plan (either translation) to completion.
+std::multiset<std::vector<int64_t>> Materialize(VecOp* root) {
+  std::multiset<std::vector<int64_t>> out;
+  Status st = ForEachChunk(root, [&](const ColumnChunk& chunk) {
+    for (uint32_t r = 0; r < chunk.num_rows; ++r) {
+      std::vector<int64_t> vals;
+      for (size_t c = 0; c < chunk.num_cols(); ++c) {
+        vals.push_back(chunk.col(c)[r]);
+      }
+      out.insert(std::move(vals));
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
 TEST(OperatorsTest, SeqScanEmitsAllRows) {
   Table t = MakeTable("t", 5, 3);
   SeqScanOp scan(&t);

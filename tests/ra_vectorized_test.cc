@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "datagen/datasets.h"
 #include "ground/bottom_up_grounder.h"
+#include "grounding_compare.h"
 #include "ra/catalog.h"
 #include "ra/expr.h"
 #include "ra/operators.h"
@@ -34,22 +37,6 @@ Table MakeIdTable(const std::string& name, int num_rows, int mod,
 
 using RowsInt = std::vector<std::vector<int64_t>>;
 
-RowsInt MaterializeVolcano(PhysicalOp* root) {
-  RowsInt out;
-  EXPECT_TRUE(root->Open().ok());
-  Row row;
-  while (true) {
-    auto has = root->Next(&row);
-    EXPECT_TRUE(has.ok());
-    if (!has.value()) break;
-    std::vector<int64_t> vals;
-    for (const Datum& d : row) vals.push_back(d.int64());
-    out.push_back(std::move(vals));
-  }
-  root->Close();
-  return out;
-}
-
 RowsInt MaterializeVec(VecOp* root) {
   RowsInt out;
   Status st = ForEachChunk(root, [&](const ColumnChunk& chunk) {
@@ -67,91 +54,115 @@ RowsInt MaterializeVec(VecOp* root) {
   return out;
 }
 
-/// Plans `query` and checks the batch plan exists and produces exactly
-/// the Volcano plan's rows, in the Volcano plan's order.
-void ExpectPlansAgree(ConjunctiveQuery query) {
-  Optimizer optimizer{OptimizerOptions{}};
-  auto plan = optimizer.Plan(std::move(query));
-  ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(plan.value().vectorized()) << plan.value().explain;
-  RowsInt volcano = MaterializeVolcano(plan.value().root.get());
-  RowsInt vec = MaterializeVec(plan.value().vec_root.get());
-  EXPECT_EQ(volcano, vec);
+OptimizerOptions VolcanoOptions() {
+  OptimizerOptions opts;
+  opts.enable_vectorized = false;
+  return opts;
+}
+
+bool IsBatchPlan(const OptimizedPlan& plan) {
+  return plan.explain.rfind("Batch plan", 0) == 0;
+}
+
+/// Plans the query `make_query` builds under both translations and checks
+/// the batch plan produces exactly the Volcano plan's rows, in the
+/// Volcano plan's order.
+void ExpectPlansAgree(const std::function<ConjunctiveQuery()>& make_query) {
+  auto batch = Optimizer(OptimizerOptions{}).Plan(make_query());
+  auto volcano = Optimizer(VolcanoOptions()).Plan(make_query());
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_TRUE(volcano.ok()) << volcano.status().ToString();
+  ASSERT_TRUE(IsBatchPlan(batch.value())) << batch.value().explain;
+  ASSERT_FALSE(IsBatchPlan(volcano.value())) << volcano.value().explain;
+  EXPECT_EQ(MaterializeVec(volcano.value().root.get()),
+            MaterializeVec(batch.value().root.get()));
 }
 
 TEST(VecPlanTest, SingleTableScanWithConstFilter) {
   Table t = MakeIdTable("t", 500, 7);
-  ConjunctiveQuery q;
-  TableRef ref;
-  ref.table = &t;
-  ref.filter = Eq(Col(0), Val(Datum(int64_t{3})));
-  q.tables.push_back(std::move(ref));
-  q.outputs.push_back(OutputCol{0, 1, "b"});
-  ExpectPlansAgree(std::move(q));
+  ExpectPlansAgree([&] {
+    ConjunctiveQuery q;
+    TableRef ref;
+    ref.table = &t;
+    ref.filter = Eq(Col(0), Val(Datum(int64_t{3})));
+    q.tables.push_back(std::move(ref));
+    q.outputs.push_back(OutputCol{0, 1, "b"});
+    return q;
+  });
 }
 
 TEST(VecPlanTest, RepeatedVariableResidualFilter) {
   // col0 == col1 — the repeated-variable filter the grounding compiler
   // pushes into scans.
   Table t = MakeIdTable("t", 400, 5);
-  ConjunctiveQuery q;
-  TableRef ref;
-  ref.table = &t;
-  ref.filter = And([] {
-    std::vector<ExprPtr> fs;
-    fs.push_back(Eq(Col(0), Col(1)));
-    return fs;
-  }());
-  q.tables.push_back(std::move(ref));
-  q.outputs.push_back(OutputCol{0, 0, "a"});
-  ExpectPlansAgree(std::move(q));
+  ExpectPlansAgree([&] {
+    ConjunctiveQuery q;
+    TableRef ref;
+    ref.table = &t;
+    ref.filter = And([] {
+      std::vector<ExprPtr> fs;
+      fs.push_back(Eq(Col(0), Col(1)));
+      return fs;
+    }());
+    q.tables.push_back(std::move(ref));
+    q.outputs.push_back(OutputCol{0, 0, "a"});
+    return q;
+  });
 }
 
 TEST(VecPlanTest, SingleKeyHashJoin) {
   Table t1 = MakeIdTable("t1", 300, 11, 1);
   Table t2 = MakeIdTable("t2", 200, 11, 2);
-  ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
-  q.joins.push_back(JoinCondition{0, 1, 1, 0});
-  q.outputs.push_back(OutputCol{0, 0, "x"});
-  q.outputs.push_back(OutputCol{1, 1, "y"});
-  ExpectPlansAgree(std::move(q));
+  ExpectPlansAgree([&] {
+    ConjunctiveQuery q;
+    q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
+    q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
+    q.joins.push_back(JoinCondition{0, 1, 1, 0});
+    q.outputs.push_back(OutputCol{0, 0, "x"});
+    q.outputs.push_back(OutputCol{1, 1, "y"});
+    return q;
+  });
 }
 
 TEST(VecPlanTest, SelfJoin) {
   Table t = MakeIdTable("t", 250, 9);
-  ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t, nullptr, "l", 1.0});
-  q.tables.push_back(TableRef{&t, nullptr, "r", 1.0});
-  q.joins.push_back(JoinCondition{0, 0, 1, 0});
-  q.outputs.push_back(OutputCol{0, 1, "lb"});
-  q.outputs.push_back(OutputCol{1, 1, "rb"});
-  ExpectPlansAgree(std::move(q));
+  ExpectPlansAgree([&] {
+    ConjunctiveQuery q;
+    q.tables.push_back(TableRef{&t, nullptr, "l", 1.0});
+    q.tables.push_back(TableRef{&t, nullptr, "r", 1.0});
+    q.joins.push_back(JoinCondition{0, 0, 1, 0});
+    q.outputs.push_back(OutputCol{0, 1, "lb"});
+    q.outputs.push_back(OutputCol{1, 1, "rb"});
+    return q;
+  });
 }
 
-TEST(VecPlanTest, DualKeyPackedJoin) {
+TEST(VecPlanTest, DualKeyJoin) {
   Table t1 = MakeIdTable("t1", 300, 6, 3);
   Table t2 = MakeIdTable("t2", 300, 6, 4);
-  ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
-  q.joins.push_back(JoinCondition{0, 0, 1, 0});
-  q.joins.push_back(JoinCondition{0, 1, 1, 1});
-  q.outputs.push_back(OutputCol{0, 0, "a"});
-  q.outputs.push_back(OutputCol{1, 1, "b"});
-  ExpectPlansAgree(std::move(q));
+  ExpectPlansAgree([&] {
+    ConjunctiveQuery q;
+    q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
+    q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
+    q.joins.push_back(JoinCondition{0, 0, 1, 0});
+    q.joins.push_back(JoinCondition{0, 1, 1, 1});
+    q.outputs.push_back(OutputCol{0, 0, "a"});
+    q.outputs.push_back(OutputCol{1, 1, "b"});
+    return q;
+  });
 }
 
 TEST(VecPlanTest, CrossProduct) {
   Table t1 = MakeIdTable("t1", 40, 5, 5);
   Table t2 = MakeIdTable("t2", 60, 5, 6);
-  ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
-  q.outputs.push_back(OutputCol{0, 0, "a"});
-  q.outputs.push_back(OutputCol{1, 0, "b"});
-  ExpectPlansAgree(std::move(q));
+  ExpectPlansAgree([&] {
+    ConjunctiveQuery q;
+    q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
+    q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
+    q.outputs.push_back(OutputCol{0, 0, "a"});
+    q.outputs.push_back(OutputCol{1, 0, "b"});
+    return q;
+  });
 }
 
 TEST(VecPlanTest, ThreeWayJoinMixedShapes) {
@@ -163,47 +174,87 @@ TEST(VecPlanTest, ThreeWayJoinMixedShapes) {
   Table dom("dom", Schema({{"v", ColumnType::kInt64}}));
   for (int i = 0; i < 4; ++i) dom.Append({Datum(int64_t{i})});
   dom.Analyze();
-  ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
-  q.tables.push_back(TableRef{&dom, nullptr, "dom", 1.0});
-  q.joins.push_back(JoinCondition{0, 1, 1, 0});
-  q.outputs.push_back(OutputCol{0, 0, "x"});
-  q.outputs.push_back(OutputCol{1, 1, "y"});
-  q.outputs.push_back(OutputCol{2, 0, "c"});
-  ExpectPlansAgree(std::move(q));
+  ExpectPlansAgree([&] {
+    ConjunctiveQuery q;
+    q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
+    q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
+    q.tables.push_back(TableRef{&dom, nullptr, "dom", 1.0});
+    q.joins.push_back(JoinCondition{0, 1, 1, 0});
+    q.outputs.push_back(OutputCol{0, 0, "x"});
+    q.outputs.push_back(OutputCol{1, 1, "y"});
+    q.outputs.push_back(OutputCol{2, 0, "c"});
+    return q;
+  });
 }
 
-TEST(VecPlanTest, WideKeyJoinFallsBackToVolcano) {
-  Table t1(
-      "w1",
-      Schema({{"a", ColumnType::kInt64}, {"b", ColumnType::kInt64},
-              {"c", ColumnType::kInt64}}));
-  Table t2(
-      "w2",
-      Schema({{"a", ColumnType::kInt64}, {"b", ColumnType::kInt64},
-              {"c", ColumnType::kInt64}}));
-  for (int i = 0; i < 20; ++i) {
-    Row row{Datum(int64_t{i % 3}), Datum(int64_t{i % 4}),
-            Datum(int64_t{i % 5})};
-    t1.Append(row);
-    t2.Append(row);
+/// A `num_cols`-column id table whose cells are drawn from `values`.
+Table MakeTableOver(const std::string& name, int num_cols, int num_rows,
+                    const std::vector<int64_t>& values, uint64_t seed) {
+  std::vector<Column> cols;
+  for (int c = 0; c < num_cols; ++c) {
+    cols.push_back(Column{"c" + std::to_string(c), ColumnType::kInt64});
   }
-  t1.Analyze();
-  t2.Analyze();
-  ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
-  for (int c = 0; c < 3; ++c) q.joins.push_back(JoinCondition{0, c, 1, c});
-  q.outputs.push_back(OutputCol{0, 0, "a"});
-  Optimizer optimizer{OptimizerOptions{}};
-  auto plan = optimizer.Plan(std::move(q));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan.value().vectorized());  // 3 key columns: generic path
-  EXPECT_NE(plan.value().root, nullptr);
+  Table t(name, Schema(cols));
+  Rng rng(seed);
+  for (int i = 0; i < num_rows; ++i) {
+    Row row;
+    for (int c = 0; c < num_cols; ++c) {
+      row.push_back(Datum(values[rng.Uniform(values.size())]));
+    }
+    t.Append(std::move(row));
+  }
+  t.Analyze();
+  return t;
 }
 
-TEST(VecPlanTest, LesionConfigsStayOnVolcano) {
+/// Joins two 3-column tables on all three columns and outputs both sides.
+std::function<ConjunctiveQuery()> ThreeKeyJoin(const Table* t1,
+                                               const Table* t2) {
+  return [=] {
+    ConjunctiveQuery q;
+    q.tables.push_back(TableRef{t1, nullptr, "t1", 1.0});
+    q.tables.push_back(TableRef{t2, nullptr, "t2", 1.0});
+    for (int c = 0; c < 3; ++c) q.joins.push_back(JoinCondition{0, c, 1, c});
+    for (int t = 0; t < 2; ++t) {
+      for (int c = 0; c < 3; ++c) q.outputs.push_back(OutputCol{t, c, "v"});
+    }
+    return q;
+  };
+}
+
+TEST(VecPlanTest, ThreeKeyJoin) {
+  Table t1 = MakeTableOver("w1", 3, 200, {0, 1, 2, 3}, 11);
+  Table t2 = MakeTableOver("w2", 3, 150, {0, 1, 2, 3}, 12);
+  ExpectPlansAgree(ThreeKeyJoin(&t1, &t2));
+}
+
+TEST(VecPlanTest, ThreeKeyJoinOnValuesOutsideThe31BitRange) {
+  // Negative ids and ids at or past 2^31 and 2^32, including pairs that
+  // agree in their low 32 bits: distinct tuples must never match.
+  const int64_t k32 = int64_t{1} << 32;
+  const std::vector<int64_t> values = {
+      -1, -k32, 0, 1, (int64_t{1} << 31) - 1, int64_t{1} << 31, k32, k32 + 1,
+      INT64_MIN, INT64_MAX};
+  Table t1 = MakeTableOver("w1", 3, 300, values, 13);
+  Table t2 = MakeTableOver("w2", 3, 300, values, 14);
+  ExpectPlansAgree(ThreeKeyJoin(&t1, &t2));
+
+  auto plan = Optimizer(OptimizerOptions{}).Plan(ThreeKeyJoin(&t1, &t2)());
+  ASSERT_TRUE(plan.ok());
+  RowsInt rows = MaterializeVec(plan.value().root.get());
+  size_t expected = 0;
+  for (const Row& a : t1.rows()) {
+    for (const Row& b : t2.rows()) {
+      expected += a[0] == b[0] && a[1] == b[1] && a[2] == b[2];
+    }
+  }
+  EXPECT_EQ(rows.size(), expected);
+  for (const auto& r : rows) {
+    EXPECT_TRUE(r[0] == r[3] && r[1] == r[4] && r[2] == r[5]);
+  }
+}
+
+TEST(VecPlanTest, EachOptionBuildsOneTranslation) {
   Table t1 = MakeIdTable("t1", 50, 5);
   Table t2 = MakeIdTable("t2", 50, 5);
   auto make_query = [&] {
@@ -214,21 +265,33 @@ TEST(VecPlanTest, LesionConfigsStayOnVolcano) {
     q.outputs.push_back(OutputCol{0, 1, "b"});
     return q;
   };
+  // The batch root is a batch operator; a lesion's Volcano plan sits
+  // behind a RowSourceOp. EXPLAIN names the one tree that was built.
+  auto expect_batch = [&](const OptimizerOptions& opts, bool batch) {
+    auto plan = Optimizer(opts).Plan(make_query());
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(IsBatchPlan(plan.value()), batch) << plan.value().explain;
+    const bool volcano =
+        dynamic_cast<RowSourceOp*>(plan.value().root.get()) != nullptr;
+    EXPECT_EQ(volcano, !batch);
+    EXPECT_EQ(plan.value().explain.find(batch ? "\nHashJoin" : "Vec"),
+              std::string::npos)
+        << plan.value().explain;
+  };
+  expect_batch(OptimizerOptions{}, true);
+  OptimizerOptions fixed_order;
+  fixed_order.fixed_join_order = true;
+  expect_batch(fixed_order, true);
   OptimizerOptions no_hash;
   no_hash.enable_hash_join = false;
-  EXPECT_FALSE(Optimizer(no_hash).Plan(make_query()).value().vectorized());
+  expect_batch(no_hash, false);
   OptimizerOptions no_pushdown;
   no_pushdown.disable_predicate_pushdown = true;
-  EXPECT_FALSE(
-      Optimizer(no_pushdown).Plan(make_query()).value().vectorized());
-  OptimizerOptions off;
-  off.enable_vectorized = false;
-  EXPECT_FALSE(Optimizer(off).Plan(make_query()).value().vectorized());
-  EXPECT_TRUE(
-      Optimizer(OptimizerOptions{}).Plan(make_query()).value().vectorized());
+  expect_batch(no_pushdown, false);
+  expect_batch(VolcanoOptions(), false);
 }
 
-TEST(VecPlanTest, NonIdTableFallsBackToVolcano) {
+TEST(VecPlanTest, BatchPlanRejectsRelationsWithoutAnIdView) {
   Table t("s", Schema({{"a", ColumnType::kString}}));
   t.Append({Datum("x")});
   t.Analyze();
@@ -236,8 +299,21 @@ TEST(VecPlanTest, NonIdTableFallsBackToVolcano) {
   ConjunctiveQuery q;
   q.tables.push_back(TableRef{&t, nullptr, "t", 1.0});
   auto plan = Optimizer(OptimizerOptions{}).Plan(std::move(q));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan.value().vectorized());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(VecPlanTest, BatchPlanRejectsFiltersOutsideTheEqualityGrammar) {
+  Table t = MakeIdTable("t", 20, 5);
+  ConjunctiveQuery q;
+  TableRef ref;
+  ref.table = &t;
+  ref.filter = Cmp(CompareOp::kLt, Col(0), Val(Datum(int64_t{3})));
+  q.tables.push_back(std::move(ref));
+  q.outputs.push_back(OutputCol{0, 0, "a"});
+  auto plan = Optimizer(OptimizerOptions{}).Plan(std::move(q));
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------ ANALYZE estimate
@@ -284,26 +360,11 @@ void ExpectGroundingIdentical(const Dataset& ds) {
   GroundingResult volcano = run(false, 1);
   GroundingResult vec = run(true, 1);
   GroundingResult vec_mt = run(true, 4);
+  GroundingResult volcano_mt = run(false, 4);
 
-  auto expect_same = [](const GroundingResult& a, const GroundingResult& b) {
-    ASSERT_EQ(a.atoms.num_atoms(), b.atoms.num_atoms());
-    for (AtomId i = 0; i < a.atoms.num_atoms(); ++i) {
-      ASSERT_TRUE(a.atoms.atom(i) == b.atoms.atom(i)) << "atom " << i;
-    }
-    ASSERT_EQ(a.clauses.num_clauses(), b.clauses.num_clauses());
-    for (size_t i = 0; i < a.clauses.num_clauses(); ++i) {
-      const GroundClause& ca = a.clauses.clauses()[i];
-      const GroundClause& cb = b.clauses.clauses()[i];
-      ASSERT_EQ(ca.lits, cb.lits) << "clause " << i;
-      ASSERT_EQ(ca.weight, cb.weight) << "clause " << i;
-      ASSERT_EQ(ca.hard, cb.hard) << "clause " << i;
-    }
-    EXPECT_EQ(a.fixed_cost, b.fixed_cost);
-    EXPECT_EQ(a.hard_contradiction, b.hard_contradiction);
-    EXPECT_EQ(a.stats.candidates, b.stats.candidates);
-  };
-  expect_same(volcano, vec);
-  expect_same(vec, vec_mt);
+  ExpectSameGrounding(volcano, vec);
+  ExpectSameGrounding(vec, vec_mt);
+  ExpectSameGrounding(vec, volcano_mt);
 }
 
 TEST(VecGroundingTest, RcGroundingBitIdenticalAcrossExecutors) {
