@@ -44,9 +44,11 @@ uint64_t ComponentHittingFlips(int n, uint64_t max_flips, uint64_t seed) {
   // (cost 1 for Example 1: the negative clause stays violated).
   std::vector<GroundClause> clauses = MakeExample1Mrf(n);
   ComponentSet cs = DetectComponents(2 * n, clauses);
+  std::vector<AtomId> local(2 * n);
   uint64_t total = 0;
   for (size_t i = 0; i < cs.num_components(); ++i) {
-    SubProblem sub = BuildSubProblem(clauses, cs.clauses[i], cs.atoms[i]);
+    SubProblem sub =
+        BuildSubProblem(clauses, cs.clauses[i], cs.atoms[i], local.data());
     WalkSatOptions opts;
     Rng rng(seed * 1315423911u + i);
     IncrementalWalkSat search(&sub.problem, opts, &rng);

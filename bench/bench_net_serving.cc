@@ -10,18 +10,28 @@
 // with a hot standby tailing its WAL: each delta must reach the
 // follower and drain repl.lag.records back to 0 before the next one.
 //
+// Each (system, client count) row is run kRepeats times: one row times
+// only 16-1,024 deltas, so a single run moves by ±15%.
+//
 // BENCH_JSON schema (one line per system × client count):
 //   {"bench":"net_serving","system":"net"|"inproc"|"replicated","clients":N,
-//    "deltas_per_sec":...,"p50_ms":...,"p99_ms":...,
-//    "total_deltas":...,"seconds":...,"final_cost":...,
-//    "fresh_cost":...}
-// p50/p99 are client-observed per-delta latencies (for the net rows
-// that includes framing, loopback, queueing, and the reply).
+//    "repeats":R,"deltas_per_sec":...,"deltas_per_sec_min":...,
+//    "deltas_per_sec_max":...,"p50_ms":...,"p50_ms_min":...,
+//    "p50_ms_max":...,"p99_ms":...,"p99_ms_min":...,"p99_ms_max":...,
+//    "total_deltas":...,"seconds":...,"final_cost":...,"fresh_cost":...}
+// Unsuffixed figures are medians over the repeats; _min/_max bound
+// them. total_deltas and seconds are per repeat. p50/p99 are
+// client-observed per-delta latencies (for the net rows that includes
+// framing, loopback, queueing, and the reply). The inproc rows also
+// carry "wire_ratio"/_min/_max: in-process over wire seconds per repeat
+// pair, i.e. the wire's share of in-process throughput.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -43,6 +53,7 @@ namespace {
 
 constexpr uint64_t kFlips = 60000;
 constexpr int kDeltasPerClient = 16;
+constexpr int kRepeats = 5;  // odd, so the median is one run
 const std::vector<int> kClientCounts = {1, 8, 64};
 
 Dataset NetRc() {
@@ -110,21 +121,82 @@ struct RunResult {
   HistogramSnapshot latency;
 };
 
-void EmitRow(const char* system, int clients, const RunResult& r,
-             double fresh_cost, const std::vector<MetricSample>& base) {
+/// Median, min and max of one figure over a row's repeats.
+struct Spread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return Spread{v[v.size() / 2], v.front(), v.back()};
+}
+
+template <typename Fn>
+Spread SpreadOver(const std::vector<RunResult>& runs, Fn figure) {
+  std::vector<double> v;
+  for (const RunResult& r : runs) v.push_back(figure(r));
+  return SpreadOf(std::move(v));
+}
+
+/// Appends `key` (the median) and `key`_min / `key`_max.
+void AddSpread(BenchJson* row, const std::string& key, const Spread& s,
+               int precision) {
+  row->Num(key.c_str(), s.median, precision)
+      .Num((key + "_min").c_str(), s.min, precision)
+      .Num((key + "_max").c_str(), s.max, precision);
+}
+
+/// One BENCH_JSON row over a system's repeats. The registry deltas in
+/// it cover every repeat since `base`. `wire_ratio`, if given, is added.
+void EmitRow(const char* system, int clients,
+             const std::vector<RunResult>& runs, double fresh_cost,
+             const std::vector<MetricSample>& base,
+             const Spread* wire_ratio = nullptr) {
   const double total = static_cast<double>(clients) * kDeltasPerClient;
   BenchJson row("net_serving");
   row.Str("system", system)
       .Int("clients", static_cast<uint64_t>(clients))
-      .Num("deltas_per_sec", total / r.seconds, 1)
-      .Num("p50_ms", r.latency.Percentile(0.50) * 1e3, 3)
-      .Num("p99_ms", r.latency.Percentile(0.99) * 1e3, 3)
-      .Int("total_deltas", static_cast<uint64_t>(total))
-      .Num("seconds", r.seconds)
-      .Num("final_cost", r.final_cost)
+      .Int("repeats", runs.size());
+  AddSpread(&row, "deltas_per_sec",
+            SpreadOver(runs, [&](const RunResult& r) {
+              return total / r.seconds;
+            }),
+            1);
+  AddSpread(&row, "p50_ms", SpreadOver(runs, [](const RunResult& r) {
+              return r.latency.Percentile(0.50) * 1e3;
+            }),
+            3);
+  AddSpread(&row, "p99_ms", SpreadOver(runs, [](const RunResult& r) {
+              return r.latency.Percentile(0.99) * 1e3;
+            }),
+            3);
+  if (wire_ratio != nullptr) AddSpread(&row, "wire_ratio", *wire_ratio, 3);
+  row.Int("total_deltas", static_cast<uint64_t>(total))
+      .Num("seconds",
+           SpreadOver(runs, [](const RunResult& r) { return r.seconds; })
+               .median)
+      .Num("final_cost", runs.back().final_cost)
       .Num("fresh_cost", fresh_cost)
       .Metrics(base)
       .Emit();
+}
+
+/// Runs `run` kRepeats times.
+template <typename Fn>
+std::vector<RunResult> Repeat(Fn run) {
+  std::vector<RunResult> runs;
+  for (int i = 0; i < kRepeats; ++i) runs.push_back(run());
+  return runs;
+}
+
+/// True iff every repeat stayed consistent and landed on `fresh_cost`.
+bool AllMatch(const std::vector<RunResult>& runs, double fresh_cost) {
+  for (const RunResult& r : runs) {
+    if (!r.cost_consistent || std::fabs(r.final_cost - fresh_cost) > 1e-6) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Drives `clients` concurrent sessions over the wire. Sessions are
@@ -283,6 +355,16 @@ RunResult RunReplication(const Dataset& ds,
     std::fprintf(stderr, "mkdtemp failed\n");
     std::exit(1);
   }
+  // Each repeat makes two durable roots. Declared before the server and
+  // the follower, the guard removes them after both are destroyed.
+  struct RemoveRoots {
+    std::string primary, follower;
+    ~RemoveRoots() {
+      std::error_code ignored;  // best effort: never throw from here
+      std::filesystem::remove_all(primary, ignored);
+      std::filesystem::remove_all(follower, ignored);
+    }
+  } remove_roots{proot, froot};
 
   ServerOptions opts;
   opts.session = BenchSessionOptions();
@@ -413,35 +495,35 @@ int main() {
   bool all_match = true;
   for (int clients : kClientCounts) {
     std::vector<MetricSample> net_base = MetricsBaseline();
-    RunResult net = RunNet(ds, deltas, clients);
+    std::vector<RunResult> net =
+        Repeat([&] { return RunNet(ds, deltas, clients); });
     EmitRow("net", clients, net, fresh_cost, net_base);
     std::vector<MetricSample> inproc_base = MetricsBaseline();
-    RunResult inproc = RunInProcess(ds, deltas, clients);
-    EmitRow("inproc", clients, inproc, fresh_cost, inproc_base);
-    for (const RunResult* r : {&net, &inproc}) {
-      if (!r->cost_consistent ||
-          std::fabs(r->final_cost - fresh_cost) > 1e-6) {
-        all_match = false;
-      }
+    std::vector<RunResult> inproc =
+        Repeat([&] { return RunInProcess(ds, deltas, clients); });
+    std::vector<double> ratios;
+    for (int i = 0; i < kRepeats; ++i) {
+      ratios.push_back(net[i].seconds > 0 && inproc[i].seconds > 0
+                           ? inproc[i].seconds / net[i].seconds
+                           : 0.0);
     }
-    const double ratio =
-        (net.seconds > 0 && inproc.seconds > 0)
-            ? inproc.seconds / net.seconds
-            : 0.0;
-    std::printf("  %2d clients: wire throughput is %.2fx in-process\n",
-                clients, ratio);
+    const Spread ratio = SpreadOf(ratios);
+    EmitRow("inproc", clients, inproc, fresh_cost, inproc_base, &ratio);
+    all_match = all_match && AllMatch(net, fresh_cost) &&
+                AllMatch(inproc, fresh_cost);
+    std::printf("  %2d clients: wire throughput is %.2fx in-process "
+                "(median of %d; %.2f-%.2fx)\n",
+                clients, ratio.median, kRepeats, ratio.min, ratio.max);
   }
 
   // Replication lesion: the same stream against a durable primary with a
   // hot standby attached — every delta must replicate, the lag gauge
   // must drain to 0, and the follower must land on the fresh MAP cost.
   std::vector<MetricSample> repl_base = MetricsBaseline();
-  RunResult repl = RunReplication(ds, deltas);
+  std::vector<RunResult> repl =
+      Repeat([&] { return RunReplication(ds, deltas); });
   EmitRow("replicated", 1, repl, fresh_cost, repl_base);
-  if (!repl.cost_consistent ||
-      std::fabs(repl.final_cost - fresh_cost) > 1e-6) {
-    all_match = false;
-  }
+  all_match = all_match && AllMatch(repl, fresh_cost);
 
   if (!all_match) {
     std::fprintf(stderr,

@@ -32,9 +32,11 @@ int main() {
     size_t num_atoms = 0;
     std::vector<GroundClause> clauses = MakeTractableMrf(params, &num_atoms);
     ComponentSet comps = DetectComponents(num_atoms, clauses);
+    std::vector<AtomId> local(num_atoms);
 
     for (size_t c = 0; c < comps.num_components(); ++c) {
-      SubProblem sub = BuildSubProblem(clauses, comps.clauses[c], comps.atoms[c]);
+      SubProblem sub = BuildSubProblem(clauses, comps.clauses[c],
+                                       comps.atoms[c], local.data());
       ExactSolveResult ex = TrySolveExact(sub.problem, kHardWeight, true);
       if (!ex.solved) {
         std::fprintf(stderr, "seed %llu comp %zu: not solved (%s)\n",

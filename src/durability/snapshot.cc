@@ -19,7 +19,10 @@ namespace tuffy {
 
 namespace {
 
-constexpr char kSnapshotMagic[8] = {'T', 'F', 'Y', 'S', 'N', 'A', 'P', '1'};
+// The trailing digit versions the payload layout. Bump it whenever the
+// session payload changes, so an older snapshot is rejected as Corruption
+// rather than misparsed (2: SessionStats lost its arena counter).
+constexpr char kSnapshotMagic[8] = {'T', 'F', 'Y', 'S', 'N', 'A', 'P', '2'};
 constexpr size_t kEnvelopeBytes = 8 + 4 + 8;  // magic + crc + payload length
 constexpr const char* kSnapshotSuffix = ".snap";
 

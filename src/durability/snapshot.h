@@ -15,7 +15,7 @@ namespace tuffy {
 /// directory as `snapshot-<seq>.snap`, where `seq` is the number of WAL
 /// records the snapshotted state has absorbed. Envelope layout:
 ///
-///   [8-byte magic "TFYSNAP1"][u32 crc over payload][u64 payload length]
+///   [8-byte magic "TFYSNAP2"][u32 crc over payload][u64 payload length]
 ///   [payload bytes]
 ///
 /// Written atomically: full temp file + fsync + rename + directory

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "exec/clause_warehouse.h"
 #include "ground/bottom_up_grounder.h"
@@ -328,13 +329,14 @@ Result<EngineResult> TuffyEngine::Run() {
       // historical whole-problem MC-SAT, bit for bit.
       std::vector<uint32_t> rest_clauses;
       std::vector<AtomId> rest_atoms;
+      auto local_of_atom = std::make_unique_for_overwrite<AtomId[]>(n);
       bool any_exact = false;
       if (options_.exact_fast_path) {
         result.marginals.assign(n, 0.0);
         ComponentSet comps = DetectComponents(n, gclauses);
         for (size_t i = 0; i < comps.num_components(); ++i) {
-          SubProblem sub =
-              BuildSubProblem(gclauses, comps.clauses[i], comps.atoms[i]);
+          SubProblem sub = BuildSubProblem(gclauses, comps.clauses[i],
+                                           comps.atoms[i], local_of_atom.get());
           ExactSolveResult ex = TrySolveExact(sub.problem,
                                               options_.hard_weight,
                                               /*want_marginals=*/true);
@@ -357,7 +359,8 @@ Result<EngineResult> TuffyEngine::Run() {
         McSatResult mr = RunMcSat(whole, mopts, options_.seed);
         result.marginals = std::move(mr.marginals);
       } else if (!rest_atoms.empty()) {
-        SubProblem rest = BuildSubProblem(gclauses, rest_clauses, rest_atoms);
+        SubProblem rest = BuildSubProblem(gclauses, rest_clauses, rest_atoms,
+                                          local_of_atom.get());
         McSatResult mr = RunMcSat(rest.problem, mopts, options_.seed);
         for (size_t j = 0; j < rest.global_atom.size(); ++j) {
           result.marginals[rest.global_atom[j]] = mr.marginals[j];
@@ -381,10 +384,9 @@ Result<EngineResult> TuffyEngine::Run() {
   // Uniform cost accounting across all modes.
   const size_t num_atoms = result.grounding.atoms.num_atoms();
   if (num_atoms > 0) {
-    Problem whole =
-        MakeWholeProblem(num_atoms, result.grounding.clauses.clauses());
     if (result.truth.size() != num_atoms) result.truth.assign(num_atoms, 0);
-    result.search_cost = whole.EvalCost(result.truth, options_.hard_weight);
+    result.search_cost = EvalStoreCost(result.grounding.clauses.clauses(),
+                                       result.truth, options_.hard_weight);
   }
   result.total_cost = result.search_cost + result.grounding.fixed_cost;
   return result;

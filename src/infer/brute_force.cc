@@ -47,20 +47,23 @@ Result<std::vector<double>> ExactMarginals(const Problem& problem,
       truth[i] = (w >> i) & 1 ? 1 : 0;
     }
     double cost = 0.0;
-    for (const SearchClause& c : problem.clauses) {
+    for (uint32_t c = 0; c < problem.num_clauses(); ++c) {
+      const Lit* lits = problem.clause_lits(c);
+      const uint32_t len = problem.clause_size(c);
+      const double weight = problem.weight[c];
       bool is_true = false;
-      for (Lit l : c.lits) {
-        if ((truth[LitAtom(l)] != 0) == LitPositive(l)) {
+      for (uint32_t i = 0; i < len; ++i) {
+        if ((truth[LitAtom(lits[i])] != 0) == LitPositive(lits[i])) {
           is_true = true;
           break;
         }
       }
-      if (c.hard) {
+      if (problem.hard[c]) {
         if (!is_true) hard_violated = true;
-      } else if (c.weight > 0 && !is_true) {
-        cost += c.weight;
-      } else if (c.weight < 0 && is_true) {
-        cost += -c.weight;
+      } else if (weight > 0 && !is_true) {
+        cost += weight;
+      } else if (weight < 0 && is_true) {
+        cost += -weight;
       }
     }
     if (hard_violated) continue;
@@ -90,20 +93,23 @@ Result<double> ExactLogZ(const Problem& problem, size_t max_atoms) {
       truth[i] = (w >> i) & 1 ? 1 : 0;
     }
     double cost = 0.0;
-    for (const SearchClause& c : problem.clauses) {
+    for (uint32_t c = 0; c < problem.num_clauses(); ++c) {
+      const Lit* lits = problem.clause_lits(c);
+      const uint32_t len = problem.clause_size(c);
+      const double weight = problem.weight[c];
       bool is_true = false;
-      for (Lit l : c.lits) {
-        if ((truth[LitAtom(l)] != 0) == LitPositive(l)) {
+      for (uint32_t i = 0; i < len; ++i) {
+        if ((truth[LitAtom(lits[i])] != 0) == LitPositive(lits[i])) {
           is_true = true;
           break;
         }
       }
-      if (c.hard) {
+      if (problem.hard[c]) {
         if (!is_true) hard_violated = true;
-      } else if (c.weight > 0 && !is_true) {
-        cost += c.weight;
-      } else if (c.weight < 0 && is_true) {
-        cost += -c.weight;
+      } else if (weight > 0 && !is_true) {
+        cost += weight;
+      } else if (weight < 0 && is_true) {
+        cost += -weight;
       }
     }
     if (hard_violated) continue;

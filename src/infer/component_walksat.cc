@@ -28,9 +28,11 @@ ComponentSearchResult RunComponentWalkSat(
   std::vector<double> exact_cost(k, 0.0);
 
   uint64_t total_atoms = num_atoms > 0 ? num_atoms : 1;
+  // One remap scratch serves every component: they are disjoint.
+  auto local_of_atom = std::make_unique_for_overwrite<AtomId[]>(num_atoms);
   for (size_t i = 0; i < k; ++i) {
-    subs[i] =
-        BuildSubProblem(clauses, components.clauses[i], components.atoms[i]);
+    subs[i] = BuildSubProblem(clauses, components.clauses[i],
+                              components.atoms[i], local_of_atom.get());
     // Tractable components skip WalkSAT entirely: the exact solver is
     // deterministic, so bit-identity across thread counts is preserved,
     // and per-component seeds stay keyed by component index either way.
@@ -49,9 +51,9 @@ ComponentSearchResult RunComponentWalkSat(
       }
     }
     rngs[i] = std::make_unique<Rng>(DeriveSeed(seed, i));
-    // Constructing the searcher here (still on this thread) builds the
-    // sub-problem's CSR clause arena; the thread-pool workers below only
-    // ever read it.
+    // Constructing the searcher here (still on this thread) builds its
+    // occurrence lists; the thread-pool workers below only ever read the
+    // sub-problem.
     WalkSatOptions wopts;
     wopts.p_random = options.p_random;
     wopts.hard_weight = options.hard_weight;
@@ -61,7 +63,7 @@ ComponentSearchResult RunComponentWalkSat(
     budget[i] = std::max<uint64_t>(
         1, ProportionalBudget(options.total_flips, components.atoms[i].size(),
                               total_atoms));
-    result.state_bytes += subs[i].problem.arena().EstimateBytes() +
+    result.state_bytes += subs[i].problem.EstimateBytes() +
                           searchers[i]->state_bytes();
   }
 

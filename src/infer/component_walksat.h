@@ -54,8 +54,8 @@ struct ComponentSearchResult {
   /// Components solved exactly (no flips spent on them).
   size_t exact_components = 0;
   std::vector<TracePoint> trace;
-  /// Measured bytes of all simultaneously-resident search state (CSR
-  /// arenas + per-searcher occurrence/delta arrays).
+  /// Measured bytes of all simultaneously-resident search state (the
+  /// sub-problems' columns + per-searcher occurrence/delta arrays).
   size_t state_bytes = 0;
 
   double FlipsPerSecond() const {

@@ -88,9 +88,8 @@ class DiskWalkSat {
   double EffectiveWeight(const ClauseRecord& rec) const {
     return rec.hard ? options_.hard_weight : rec.weight;
   }
-  bool ClauseTrue(const ClauseRecord& rec) const;
   bool IsViolated(const ClauseRecord& rec) const {
-    bool is_true = ClauseTrue(rec);
+    bool is_true = AnyLitTrue(rec.lits, rec.num_lits, truth_);
     return (rec.hard || rec.weight >= 0) ? !is_true : is_true;
   }
 
@@ -102,7 +101,7 @@ class DiskWalkSat {
   /// Atom truth values, cached in memory per Appendix B.2.
   std::vector<uint8_t> truth_;
   /// Clauses too long for fixed-size records (see Create).
-  std::vector<SearchClause> overflow_;
+  Problem overflow_;
   /// Precomputed |effective weight| per overflow clause.
   std::vector<double> overflow_abs_w_;
 };

@@ -48,38 +48,27 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
   st.unary.assign(2 * n, 0.0);
   st.touched.assign(n, 0);
 
-  // Normalize: dedupe literals per clause, fold tautologies into the
-  // constant (a negative-weight tautology is permanently violated; a
-  // positive or hard one is permanently satisfied), mirroring
-  // ClauseArena's frozen handling.
-  std::vector<Lit> nlits;
-  std::vector<uint32_t> noff{0};
-  std::vector<double> nweight;
-  std::vector<uint8_t> nhard;
-  std::vector<Lit> tmp;
-  for (const SearchClause& c : problem.clauses) {
-    tmp.assign(c.lits.begin(), c.lits.end());
-    std::sort(tmp.begin(), tmp.end(), [](Lit a, Lit b) {
-      if (LitAtom(a) != LitAtom(b)) return LitAtom(a) < LitAtom(b);
-      return a < b;
-    });
-    tmp.erase(std::unique(tmp.begin(), tmp.end()), tmp.end());
-    bool taut = false;
-    for (size_t i = 0; i + 1 < tmp.size(); ++i) {
-      if (LitAtom(tmp[i]) == LitAtom(tmp[i + 1])) taut = true;
+  // The problem's clauses arrive normalized: duplicate literals dropped
+  // and tautologies flagged `frozen`, so every live clause mentions an
+  // atom at most once and literal order does not matter below. A frozen
+  // clause only feeds the constant (a negative-weight tautology is
+  // permanently violated; a positive or hard one is permanently
+  // satisfied).
+  const size_t nc = problem.num_clauses();
+  const std::vector<uint8_t>& hard = problem.hard;
+  const std::vector<double>& weight = problem.weight;
+  const std::vector<uint8_t>& frozen = problem.frozen;
+  for (size_t c = 0; c < nc; ++c) {
+    if (frozen[c] && !hard[c] && weight[c] < 0) {
+      st.constant_cost += -weight[c];
     }
-    if (taut) {
-      if (!c.hard && c.weight < 0) st.constant_cost += -c.weight;
-      continue;
-    }
-    nlits.insert(nlits.end(), tmp.begin(), tmp.end());
-    noff.push_back(static_cast<uint32_t>(nlits.size()));
-    nweight.push_back(c.weight);
-    nhard.push_back(c.hard ? 1 : 0);
   }
-  const size_t nc = nweight.size();
-  auto clause_lits = [&](size_t c) { return nlits.data() + noff[c]; };
-  auto clause_len = [&](size_t c) { return noff[c + 1] - noff[c]; };
+  auto clause_lits = [&](size_t c) {
+    return problem.clause_lits(static_cast<uint32_t>(c));
+  };
+  auto clause_len = [&](size_t c) {
+    return problem.clause_size(static_cast<uint32_t>(c));
+  };
 
   // Hard-unit propagation: a hard clause whose other literals are all
   // forced false forces its remaining literal true. Counter-based, over
@@ -88,7 +77,7 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
   std::vector<uint32_t> remaining(nc, 0);
   std::vector<uint8_t> sat(nc, 0);
   for (size_t c = 0; c < nc; ++c) {
-    if (!nhard[c]) continue;
+    if (!hard[c] || frozen[c]) continue;
     remaining[c] = clause_len(c);
     for (uint32_t i = 0; i < clause_len(c); ++i) {
       occ[LitAtom(clause_lits(c)[i])].push_back(static_cast<uint32_t>(c));
@@ -106,7 +95,7 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
     queue.push_back(a);
   };
   for (size_t c = 0; c < nc && !contradiction; ++c) {
-    if (!nhard[c]) continue;
+    if (!hard[c] || frozen[c]) continue;
     if (clause_len(c) == 0) contradiction = true;  // empty hard clause
     if (clause_len(c) == 1) {
       Lit l = clause_lits(c)[0];
@@ -151,6 +140,7 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
   bool has_binary = false;
   Lit res[2];
   for (size_t c = 0; c < nc; ++c) {
+    if (frozen[c]) continue;
     bool sat_by_forced = false;
     uint32_t nres = 0;
     bool wide = false;
@@ -164,24 +154,24 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
         sat_by_forced = true;
       }
     }
-    const bool positive = nhard[c] || nweight[c] >= 0;
+    const bool positive = hard[c] || weight[c] >= 0;
     if (positive) {
       // Violated iff no literal is true.
       if (sat_by_forced) continue;
       if (nres == 0) {
-        if (nhard[c]) {
+        if (hard[c]) {
           // Unsatisfiable hard clause propagation did not flag (cannot
           // happen by construction; belt-and-braces).
           st.fragment = ExactFragment::kNotTractable;
           return st;
         }
-        st.constant_cost += nweight[c];  // permanently violated soft
+        st.constant_cost += weight[c];  // permanently violated soft
         continue;
       }
     } else {
       // w < 0: violated iff some literal is true.
       if (sat_by_forced) {
-        st.constant_cost += -nweight[c];
+        st.constant_cost += -weight[c];
         continue;
       }
       if (nres == 0) continue;  // permanently false, never violated
@@ -197,9 +187,9 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
       // Positive: violated when the atom takes the literal-falsifying
       // value. Negative: violated when the literal is true.
       if (positive) {
-        st.unary[2 * a + (1 - s)] += nweight[c];
+        st.unary[2 * a + (1 - s)] += weight[c];
       } else {
-        st.unary[2 * a + s] += -nweight[c];
+        st.unary[2 * a + s] += -weight[c];
       }
       continue;
     }
@@ -227,13 +217,13 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
     st.touched[u] = 1;
     st.touched[v] = 1;
     has_binary = true;
-    if (nhard[c]) {
+    if (hard[c]) {
       e.hard[2 * (1 - su) + (1 - sv)] += 1;
     } else if (positive) {
-      e.cost[2 * (1 - su) + (1 - sv)] += nweight[c];
+      e.cost[2 * (1 - su) + (1 - sv)] += weight[c];
     } else {
       // Violated in the three cells where some literal is true.
-      const double w = -nweight[c];
+      const double w = -weight[c];
       e.cost[2 * su + sv] += w;
       e.cost[2 * su + (1 - sv)] += w;
       e.cost[2 * (1 - su) + sv] += w;

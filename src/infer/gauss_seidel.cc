@@ -1,5 +1,7 @@
 #include "infer/gauss_seidel.h"
 
+#include <memory>
+
 #include "util/timer.h"
 
 namespace tuffy {
@@ -21,9 +23,8 @@ GaussSeidelResult RunGaussSeidel(size_t num_atoms,
     }
   }
 
-  Problem whole = MakeWholeProblem(num_atoms, clauses);
   std::vector<uint8_t> best_truth = result.truth;
-  double best_cost = whole.EvalCost(result.truth, options.hard_weight);
+  double best_cost = EvalStoreCost(clauses, result.truth, options.hard_weight);
 
   const size_t k = partitions.num_partitions();
   WalkSatOptions wopts;
@@ -31,6 +32,8 @@ GaussSeidelResult RunGaussSeidel(size_t num_atoms,
   wopts.hard_weight = options.hard_weight;
   std::vector<uint8_t> init;  // reused across partitions and sweeps
   wopts.initial = &init;
+  // One remap scratch serves every partition: they are disjoint.
+  auto local_of_atom = std::make_unique_for_overwrite<AtomId[]>(num_atoms);
   for (int sweep = 0; sweep < options.sweeps; ++sweep) {
     if (timer.ElapsedSeconds() > options.timeout_seconds) break;
     for (size_t i = 0; i < k; ++i) {
@@ -39,7 +42,7 @@ GaussSeidelResult RunGaussSeidel(size_t num_atoms,
       SubProblem sub = BuildConditionedSubProblem(
           clauses, partitions.clauses[i], partitions.cut_clauses,
           partitions.atoms[i], partitions.partition_of_atom,
-          static_cast<int32_t>(i), result.truth);
+          static_cast<int32_t>(i), result.truth, local_of_atom.get());
       // Seed the local search from the current global state.
       init.resize(sub.global_atom.size());
       for (size_t j = 0; j < sub.global_atom.size(); ++j) {
@@ -54,7 +57,7 @@ GaussSeidelResult RunGaussSeidel(size_t num_atoms,
       }
       if (timer.ElapsedSeconds() > options.timeout_seconds) break;
     }
-    double cost = whole.EvalCost(result.truth, options.hard_weight);
+    double cost = EvalStoreCost(clauses, result.truth, options.hard_weight);
     if (cost < best_cost) {
       best_cost = cost;
       best_truth = result.truth;

@@ -17,26 +17,13 @@ std::vector<uint8_t> LabelAssignment(const MlnProgram& program,
   return truth;
 }
 
-namespace {
-
-/// True iff the clause has at least one true literal under `truth`.
-inline bool ClauseTrue(const SearchClause& c,
-                       const std::vector<uint8_t>& truth) {
-  for (Lit l : c.lits) {
-    if ((truth[LitAtom(l)] != 0) == LitPositive(l)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::vector<int64_t> CountSatisfiedGroundings(
     const Problem& problem, const RuleCountIndex& index,
     const std::vector<uint8_t>& truth) {
   std::vector<int64_t> counts(index.num_rules, 0);
-  for (size_t ci = 0; ci < problem.clauses.size(); ++ci) {
-    if (ClauseTrue(problem.clauses[ci], truth)) {
-      index.AccumulateClause(static_cast<uint32_t>(ci), int64_t{1}, &counts);
+  for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
+    if (problem.ClauseTrue(ci, truth)) {
+      index.AccumulateClause(ci, int64_t{1}, &counts);
     }
   }
   return counts;
@@ -65,19 +52,16 @@ Result<FormulaExpectations> ExactFormulaExpectations(
     bool hard_violated = false;
     double cost = 0.0;
     std::fill(counts.begin(), counts.end(), 0);
-    for (size_t ci = 0; ci < problem.clauses.size(); ++ci) {
-      const SearchClause& c = problem.clauses[ci];
-      const bool is_true = ClauseTrue(c, truth);
-      if (is_true) {
-        index.AccumulateClause(static_cast<uint32_t>(ci), int64_t{1},
-                               &counts);
-      }
-      if (c.hard) {
+    for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
+      const double weight = problem.weight[ci];
+      const bool is_true = problem.ClauseTrue(ci, truth);
+      if (is_true) index.AccumulateClause(ci, int64_t{1}, &counts);
+      if (problem.hard[ci]) {
         if (!is_true) hard_violated = true;
-      } else if (c.weight > 0 && !is_true) {
-        cost += c.weight;
-      } else if (c.weight < 0 && is_true) {
-        cost += -c.weight;
+      } else if (weight > 0 && !is_true) {
+        cost += weight;
+      } else if (weight < 0 && is_true) {
+        cost += -weight;
       }
     }
     if (hard_violated) continue;

@@ -82,13 +82,15 @@ WeightLearner::WeightLearner(const MlnProgram& program,
       labels_(labels),
       options_(std::move(options)) {}
 
-void WeightLearner::RefreshClauseWeights() {
-  RecomputeClauseWeights(index_, weights_, clause_hard_, &clause_weights_);
-  for (size_t c = 0; c < problem_.clauses.size(); ++c) {
-    problem_.clauses[c].weight = clause_weights_[c];
+void RefreshClauseWeights(const RuleCountIndex& index,
+                          const std::vector<double>& rule_weights,
+                          Problem* problem) {
+  RecomputeClauseWeights(index, rule_weights, problem->hard, &problem->weight);
+  for (size_t c = 0; c < problem->num_clauses(); ++c) {
+    if (problem->hard[c]) continue;
+    problem->abs_weight[c] = std::fabs(problem->weight[c]);
+    problem->positive[c] = problem->weight[c] >= 0 ? 1 : 0;
   }
-  // The arena is rebuilt in place on next use, reusing its capacity.
-  problem_.InvalidateArena();
 }
 
 void WeightLearner::ExpectedCountsMap(uint64_t seed,
@@ -97,14 +99,14 @@ void WeightLearner::ExpectedCountsMap(uint64_t seed,
   // maintains the per-rule counts O(1) per flip alongside the make/break
   // bookkeeping, and the best state's counts are captured by snapshot
   // whenever the cost improves — never by rescanning the clause set.
-  // Attach reuses this state's buffers across epochs (the arena was
-  // rebuilt in place with the new weights); the index must be re-enabled
-  // after it.
+  // Attach reuses this state's buffers across epochs and re-derives the
+  // occurrence costs from the re-weighted columns; the index must be
+  // re-enabled after it.
   Rng rng(seed);
   if (!stats_state_.has_value()) {
-    stats_state_.emplace(&problem_.arena(), options_.hard_weight);
+    stats_state_.emplace(&problem_, options_.hard_weight);
   } else {
-    stats_state_->Attach(&problem_.arena(), options_.hard_weight);
+    stats_state_->Attach(&problem_, options_.hard_weight);
   }
   // Seed the assignment before enabling stats: Rebuild skips the count
   // scan while the hook is off, so the counts are derived exactly once.
@@ -156,12 +158,6 @@ Result<LearnResult> WeightLearner::Learn() {
 
   problem_ = MakeWholeProblem(num_atoms, clauses);
   index_ = BuildRuleCountIndex(grounding_.clauses, num_rules);
-  clause_hard_.resize(clauses.size());
-  clause_weights_.resize(clauses.size());
-  for (size_t c = 0; c < clauses.size(); ++c) {
-    clause_hard_[c] = clauses[c].hard ? 1 : 0;
-    clause_weights_[c] = clauses[c].weight;
-  }
 
   LearnResult result;
   result.num_atoms = num_atoms;
@@ -196,7 +192,7 @@ Result<LearnResult> WeightLearner::Learn() {
   std::vector<double> variance;
   for (int epoch = 0; epoch < options_.max_epochs; ++epoch) {
     Timer epoch_timer;
-    RefreshClauseWeights();
+    RefreshClauseWeights(index_, weights_, &problem_);
     const uint64_t seed = options_.seed + 0x9E37u * (epoch + 1);
     if (perceptron) {
       ExpectedCountsMap(seed, &expected);

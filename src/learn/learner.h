@@ -48,7 +48,7 @@ struct LearnResult {
 /// log-likelihood, with the expectation estimated per LearnAlgorithm.
 /// Between epochs the ground clause *structure* is reused — only the
 /// per-clause summed weights are recomputed from the rule count index
-/// and the arena is rebuilt through its capacity-reusing appending API.
+/// and written into the problem's weight columns in place.
 ///
 /// The grounding must be exhaustive (lazy_closure = false): the lazy
 /// closure prunes clauses that cannot be violated near the evidence
@@ -64,9 +64,6 @@ class WeightLearner {
   Result<LearnResult> Learn();
 
  private:
-  /// Re-derives every soft ground clause's weight from the current rule
-  /// weights and invalidates the arena (rebuilt in place on next use).
-  void RefreshClauseWeights();
   /// Voted perceptron: counts at the best state of a WalkSAT run
   /// executed on the stats-enabled state itself — the formula hook
   /// maintains the counts per flip and the best state's counts are
@@ -83,13 +80,21 @@ class WeightLearner {
 
   Problem problem_;
   RuleCountIndex index_;
-  std::vector<uint8_t> clause_hard_;
-  std::vector<double> clause_weights_;  // scratch for RecomputeClauseWeights
   std::vector<double> weights_;         // current rule weights
   std::vector<uint8_t> learnable_;      // soft rules only
   /// Reused across epochs (buffers survive re-Attach).
   std::optional<WalkSatState> stats_state_;
 };
+
+/// Re-derives the weight of every soft clause of `problem` from
+/// `rule_weights` through `index` (hard clauses keep theirs), and brings
+/// abs_weight and positive in step, in place. The columns then equal
+/// those of a problem built fresh from the re-weighted clauses — also
+/// when a weight changes sign, which flips the clause's violation
+/// convention. The learner's per-epoch update.
+void RefreshClauseWeights(const RuleCountIndex& index,
+                          const std::vector<double>& rule_weights,
+                          Problem* problem);
 
 /// Convenience wrapper: construct + Learn.
 Result<LearnResult> LearnWeights(const MlnProgram& program,

@@ -873,7 +873,6 @@ NetResponse Server::Execute(const NetRequest& request, TraceBuilder* trace) {
             {"components_researched",
              static_cast<double>(st.components_researched)},
             {"flips", static_cast<double>(st.flips)},
-            {"arena_rebuilds", static_cast<double>(st.arena_rebuilds)},
         };
         sessions_->AppendOwnerStats(name, &resp.stats);
         resp.stats.insert(

@@ -234,7 +234,6 @@ Status InferenceSession::Open(const EvidenceDb& initial_evidence,
   for (size_t c = 0; c < all.size(); ++c) all[c] = c;
   DeltaApplyResult cold;
   SearchComponents(all, /*cold=*/true, &cold);
-  arena_dirty_ = true;
 
   if (!options_.wal_dir.empty()) {
     TUFFY_RETURN_IF_ERROR(EnsureDir(options_.wal_dir));
@@ -336,7 +335,7 @@ Result<DeltaApplyResult> InferenceSession::ApplyDelta(
   result.seq = stats_.deltas_applied;
   result.edits = std::move(edits);
   if (result.edits.no_op) {
-    // Cached result, verbatim: no component scan, no arena touch.
+    // Cached result, verbatim: no component scan, no re-search.
     ++stats_.no_op_deltas;
     result.components_total = comps_.num_components();
     result.map_cost = map_cost();
@@ -376,7 +375,6 @@ Result<DeltaApplyResult> InferenceSession::ApplyDelta(
   comp_flips_.assign(comps_.num_components(), 0);
 
   SearchComponents(dirty, /*cold=*/false, &result, trace);
-  arena_dirty_ = true;
   result.map_cost = map_cost();
 
   if ((wal_ != nullptr || replaying_) && options_.snapshot_every > 0 &&
@@ -432,7 +430,6 @@ Status InferenceSession::WriteSnapshot() {
   out.U64(stats_.no_op_deltas);
   out.U64(stats_.components_researched);
   out.U64(stats_.flips);
-  out.U64(stats_.arena_rebuilds);
   grounder_.SaveState(&out);
   out.U64(truth_.size());
   out.Bytes(truth_.data(), truth_.size());
@@ -462,7 +459,6 @@ Status InferenceSession::RestoreFromSnapshot(const std::string& payload,
   stats_.no_op_deltas = in.U64();
   stats_.components_researched = in.U64();
   stats_.flips = in.U64();
-  stats_.arena_rebuilds = in.U64();
   if (!in.ok()) return Status::Corruption("snapshot: session header");
 
   TUFFY_RETURN_IF_ERROR(grounder_.LoadState(&in));
@@ -501,7 +497,6 @@ Status InferenceSession::RestoreFromSnapshot(const std::string& payload,
 
   program_fp_ = program_fp;
   options_fp_ = options_fp;
-  arena_dirty_ = true;
   open_ = true;
   return Status::OK();
 }
@@ -759,6 +754,11 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
   std::vector<ComponentTiming> timings(trace != nullptr ? dirty.size() : 0);
   // Workers stamp disjoint slots; counted after the join.
   std::vector<SearchEnd> ends(dirty.size(), SearchEnd::kFlips);
+  // Components are disjoint, so they share one remap scratch; left
+  // uninitialized, it commits only the pages the dirty components touch.
+  auto local_of_atom = std::make_unique_for_overwrite<AtomId[]>(
+      grounder_.atoms().num_atoms());
+  AtomId* local = local_of_atom.get();
 
   TaskGroup group(pool_);
   for (size_t i = 0; i < dirty.size(); ++i) {
@@ -774,8 +774,10 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
     const uint64_t mcsat_seed = DeriveSeed(mcsat_base, comp_key);
     ComponentTiming* timing = timings.empty() ? nullptr : &timings[i];
     SearchEnd* end = &ends[i];
-    group.Submit([this, c, budget, cold, search_seed, mcsat_seed, timing, end] {
-      SearchOneComponent(c, budget, cold, search_seed, mcsat_seed, timing, end);
+    group.Submit([this, c, budget, cold, search_seed, mcsat_seed, local,
+                  timing, end] {
+      SearchOneComponent(c, budget, cold, search_seed, mcsat_seed, local,
+                         timing, end);
     });
   }
   group.Wait();
@@ -819,6 +821,7 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
 void InferenceSession::SearchOneComponent(size_t comp, uint64_t budget,
                                           bool cold, uint64_t search_seed,
                                           uint64_t mcsat_seed,
+                                          AtomId* local_of_atom,
                                           ComponentTiming* timing,
                                           SearchEnd* end) {
   if (timing != nullptr) timing->start_ns = TraceNowNs();
@@ -842,8 +845,8 @@ void InferenceSession::SearchOneComponent(size_t comp, uint64_t budget,
     return;
   }
 
-  SubProblem sub =
-      BuildSubProblem(grounder_.clauses(), comps_.clauses[comp], comp_atoms);
+  SubProblem sub = BuildSubProblem(grounder_.clauses(), comps_.clauses[comp],
+                                   comp_atoms, local_of_atom);
 
   if (options_.exact_fast_path) {
     // Tractable fragment: exact MAP (and marginals) in linear time, no
@@ -928,37 +931,13 @@ double InferenceSession::map_cost() const {
   return cost;
 }
 
-double InferenceSession::EvalCurrentCost() {
-  if (arena_dirty_) {
-    arena_.Clear();
-    for (const GroundClause& c : grounder_.clauses()) {
-      arena_.AddClause(c.lits.data(), c.lits.size(), c.weight, c.hard);
-    }
-    arena_.Finish(grounder_.atoms().num_atoms());
-    arena_dirty_ = false;
-    ++stats_.arena_rebuilds;
-  }
-  double cost = grounder_.fixed_cost();
-  for (uint32_t c = 0; c < arena_.num_clauses(); ++c) {
-    const Lit* lits = arena_.clause_lits(c);
-    const uint32_t len = arena_.clause_size(c);
-    bool is_true = false;
-    for (uint32_t i = 0; i < len; ++i) {
-      if ((truth_[LitAtom(lits[i])] != 0) == LitPositive(lits[i])) {
-        is_true = true;
-        break;
-      }
-    }
-    const bool violated = arena_.positive[c] ? !is_true : is_true;
-    if (violated) {
-      cost += arena_.hard[c] ? options_.hard_weight : arena_.abs_weight[c];
-    }
-  }
-  return cost;
+double InferenceSession::EvalCurrentCost() const {
+  return EvalStoreCost(grounder_.clauses(), truth_, options_.hard_weight) +
+         grounder_.fixed_cost();
 }
 
 size_t InferenceSession::EstimateBytes() const {
-  size_t bytes = grounder_.EstimateBytes() + arena_.EstimateBytes();
+  size_t bytes = grounder_.EstimateBytes();
   bytes += truth_.capacity() * sizeof(uint8_t);
   bytes += marginals_.capacity() * sizeof(double);
   bytes += comp_cost_.capacity() * sizeof(double) +

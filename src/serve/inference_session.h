@@ -152,9 +152,6 @@ struct SessionStats {
   /// Of those, components answered by the exact solver.
   size_t components_exact = 0;
   uint64_t flips = 0;
-  /// Rebuilds of the verification arena (EvalCurrentCost). Stays flat
-  /// across no-op deltas — the "empty delta touches nothing" guarantee.
-  size_t arena_rebuilds = 0;
 };
 
 /// A standing MLN inference state: grounds once, then serves a stream of
@@ -224,8 +221,8 @@ class InferenceSession {
 
   /// Applies one evidence delta end to end: delta grounding, dirty
   /// component re-search, marginal refresh. An effectively-empty delta
-  /// returns the cached result without touching the clause set, the
-  /// arena, or any component. `trace`, if non-null, collects the delta's
+  /// returns the cached result without touching the clause set or any
+  /// component. `trace`, if non-null, collects the delta's
   /// lifecycle spans (WAL append/fsync, grounding, per-component
   /// search); the finished trace lands in this session's trace ring and,
   /// above options.slow_delta_seconds, in the log. Tracing never affects
@@ -254,16 +251,17 @@ class InferenceSession {
   bool hard_contradiction() const { return grounder_.hard_contradiction(); }
   size_t num_components() const { return comps_.num_components(); }
   const SessionStats& stats() const { return stats_; }
+  /// Cost of the clauses the evidence resolved during grounding.
+  double fixed_cost() const { return grounder_.fixed_cost(); }
 
-  /// Re-evaluates the current truth against the full clause set through
-  /// the session's capacity-reusing verification arena (rebuilt lazily
-  /// only after structural edits), plus the fixed cost. Equals
-  /// map_cost() up to floating-point association; used by tests and the
-  /// serving smoke check.
-  double EvalCurrentCost();
+  /// Re-evaluates the current truth against the full clause set in place
+  /// (EvalStoreCost), plus the fixed cost — the sum TuffyEngine::Run
+  /// reports as total_cost. Equals map_cost() up to floating-point
+  /// association; used by tests and the serving smoke check.
+  double EvalCurrentCost() const;
 
   /// Resident footprint for SessionManager admission: grounder state,
-  /// truth/marginal vectors, component structure, verification arena.
+  /// truth/marginal vectors, component structure.
   size_t EstimateBytes() const;
 
   /// Primary-timeline position of this log's record 0 (see
@@ -302,9 +300,12 @@ class InferenceSession {
   void SearchComponents(const std::vector<size_t>& dirty, bool cold,
                         DeltaApplyResult* result,
                         TraceBuilder* trace = nullptr);
+  /// `local_of_atom` is the BuildSubProblem remap scratch the dirty
+  /// components share.
   void SearchOneComponent(size_t comp, uint64_t budget, bool cold,
                           uint64_t search_seed, uint64_t mcsat_seed,
-                          ComponentTiming* timing, SearchEnd* end);
+                          AtomId* local_of_atom, ComponentTiming* timing,
+                          SearchEnd* end);
 
   /// Closes the root span, pushes the finished trace into the ring,
   /// logs it if the delta breached slow_delta_seconds, and stamps the
@@ -334,10 +335,6 @@ class InferenceSession {
   std::vector<uint64_t> comp_flips_;
   std::vector<uint8_t> truth_;
   std::vector<double> marginals_;
-
-  /// Verification arena (EvalCurrentCost); rebuilt with capacity reuse.
-  ClauseArena arena_;
-  bool arena_dirty_ = true;
 
   /// Delta epoch, folded into per-component seed derivation so repeated
   /// re-searches of one component use fresh, decorrelated streams.

@@ -27,8 +27,11 @@ inline uint64_t DeriveSeed(uint64_t base, uint64_t stream) {
 
 /// Deterministic xoshiro256**-based pseudo-random generator. Every
 /// stochastic component in the library (WalkSAT, SampleSAT, MC-SAT, data
-/// generators) takes an explicit `Rng` so runs are reproducible.
-class Rng {
+/// generators) takes an explicit `Rng` so runs are reproducible. The
+/// state is rewritten on every draw, so each generator has a cache line
+/// to itself: the per-component generators that pool workers draw from
+/// concurrently would otherwise share lines and slow every flip.
+class alignas(64) Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull) { Seed(seed); }
 

@@ -264,7 +264,8 @@ SessionOptions BaseOptions() {
 
 /// Bit-identity: atom universe, clause list (order included), literal
 /// vectors, weight bit patterns, best truth, and exact MAP cost.
-void ExpectBitIdentical(InferenceSession& got, InferenceSession& want) {
+void ExpectBitIdentical(const InferenceSession& got,
+                        const InferenceSession& want) {
   ASSERT_EQ(got.atoms().num_atoms(), want.atoms().num_atoms());
   for (AtomId a = 0; a < want.atoms().num_atoms(); ++a) {
     EXPECT_EQ(got.atoms().atom(a).pred, want.atoms().atom(a).pred);
@@ -589,6 +590,35 @@ TEST(RecoveryTest, RefusesForeignDurableState) {
             StatusCode::kCorruption);
   // The original options still recover fine.
   EXPECT_TRUE(InferenceSession::Recover(program, durable).ok());
+}
+
+// Snapshots written before the payload lost its arena counter carry the
+// magic "TFYSNAP1". Read against today's layout they would be misparsed,
+// so recovery must refuse them as Corruption (and with no other snapshot
+// to fall back on, fail) rather than load them.
+TEST(RecoveryTest, OldSnapshotMagicRecoversToCorruption) {
+  MlnProgram program = LinkProgram();
+  const std::string dir = MakeTempDir("oldmagic");
+  SessionOptions durable = BaseOptions();
+  durable.wal_dir = dir;
+  {
+    InferenceSession session(program, durable);
+    ASSERT_TRUE(session.Open(InitialEvidence(program)).ok());
+  }
+  auto snaps = ListSnapshots(dir);
+  ASSERT_TRUE(snaps.ok());
+  ASSERT_FALSE(snaps.value().empty());
+  for (const SnapshotRef& snap : snaps.value()) {
+    // Only the magic changes: length and CRC still check out.
+    std::FILE* f = std::fopen(snap.path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite("TFYSNAP1", 1, 8, f), 8u);
+    std::fclose(f);
+    EXPECT_EQ(ReadSnapshotFile(snap.path).status().code(),
+              StatusCode::kCorruption);
+  }
+  EXPECT_EQ(InferenceSession::Recover(program, durable).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(RecoveryTest, OpenRefusesExistingDurableDir) {

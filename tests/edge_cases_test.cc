@@ -146,13 +146,8 @@ TEST(EdgeCaseTest, WalkSatMaxTriesRestarts) {
   // A frustrated pair: restarts must not crash and best tracking holds.
   Problem p;
   p.num_atoms = 1;
-  SearchClause c1;
-  c1.lits = {MakeLit(0, true)};
-  c1.weight = 1.0;
-  SearchClause c2;
-  c2.lits = {MakeLit(0, false)};
-  c2.weight = 1.0;
-  p.clauses = {c1, c2};
+  p.AddClause({MakeLit(0, true)}, 1.0);
+  p.AddClause({MakeLit(0, false)}, 1.0);
   WalkSatOptions opts;
   opts.max_flips = 50;
   opts.max_tries = 4;

@@ -27,18 +27,16 @@
 namespace tuffy {
 namespace {
 
-SearchClause C(std::vector<Lit> lits, double w, bool hard = false) {
-  SearchClause c;
-  c.lits = std::move(lits);
-  c.weight = w;
-  c.hard = hard;
-  return c;
-}
+struct C {
+  std::vector<Lit> lits;
+  double weight;
+  bool hard = false;
+};
 
-Problem P(size_t num_atoms, std::vector<SearchClause> clauses) {
+Problem P(size_t num_atoms, const std::vector<C>& clauses) {
   Problem p;
   p.num_atoms = num_atoms;
-  p.clauses = std::move(clauses);
+  for (const C& c : clauses) p.AddClause(c.lits, c.weight, c.hard);
   return p;
 }
 

@@ -107,16 +107,17 @@ TEST(GaussSeidelTest, ConditionedSubProblemResolvesExternalLiterals) {
 
   // External atom a1 false: the cut clause reduces to unit (a0).
   std::vector<uint8_t> global = {0, 0};
+  std::vector<AtomId> local(2);
   SubProblem sub = BuildConditionedSubProblem(clauses, {}, cut, {0}, part, 0,
-                                              global);
-  ASSERT_EQ(sub.problem.clauses.size(), 1u);
-  EXPECT_EQ(sub.problem.clauses[0].lits.size(), 1u);
+                                              global, local.data());
+  ASSERT_EQ(sub.problem.num_clauses(), 1u);
+  EXPECT_EQ(sub.problem.clause_size(0), 1u);
 
   // External atom a1 true: the clause is satisfied and dropped.
   global[1] = 1;
   SubProblem sub2 = BuildConditionedSubProblem(clauses, {}, cut, {0}, part, 0,
-                                               global);
-  EXPECT_EQ(sub2.problem.clauses.size(), 0u);
+                                               global, local.data());
+  EXPECT_EQ(sub2.problem.num_clauses(), 0u);
 }
 
 TEST(GaussSeidelTest, ReachesOptimumOnChain) {
@@ -199,13 +200,8 @@ TEST(GaussSeidelTest, TraceMonotoneAndCostConsistent) {
 TEST(DiskWalkSatTest, SolvesTinyProblem) {
   Problem p;
   p.num_atoms = 2;
-  SearchClause c1;
-  c1.lits = {MakeLit(0, true)};
-  c1.weight = 1.0;
-  SearchClause c2;
-  c2.lits = {MakeLit(1, true)};
-  c2.weight = 1.0;
-  p.clauses = {c1, c2};
+  p.AddClause({MakeLit(0, true)}, 1.0);
+  p.AddClause({MakeLit(1, true)}, 1.0);
   DiskWalkSatOptions opts;
   opts.max_flips = 100;
   opts.io_latency_us = 0;
@@ -250,10 +246,9 @@ TEST(DiskWalkSatTest, OverlongClausesGoToOverflow) {
   // handled via the memory-side overflow and still steer the search.
   Problem p;
   p.num_atoms = 30;
-  SearchClause big;
-  for (AtomId a = 0; a < 30; ++a) big.lits.push_back(MakeLit(a, true));
-  big.weight = 5.0;
-  p.clauses.push_back(big);
+  std::vector<Lit> big;
+  for (AtomId a = 0; a < 30; ++a) big.push_back(MakeLit(a, true));
+  p.AddClause(big, 5.0);
   DiskWalkSatOptions opts;
   opts.max_flips = 200;
   opts.io_latency_us = 0;
@@ -294,12 +289,7 @@ TEST(DiskWalkSatTest, IsSlowerPerFlipThanInMemory) {
 TEST(SampleSatTest, FindsSatisfyingAssignment) {
   Problem p;
   p.num_atoms = 4;
-  for (AtomId a = 0; a < 4; ++a) {
-    SearchClause c;
-    c.lits = {MakeLit(a, true)};
-    c.weight = 1.0;
-    p.clauses.push_back(c);
-  }
+  for (AtomId a = 0; a < 4; ++a) p.AddClause({MakeLit(a, true)}, 1.0);
   Rng rng(1);
   std::vector<uint8_t> out;
   ASSERT_TRUE(SampleSat(p, SampleSatOptions{}, &rng, &out));
@@ -320,10 +310,7 @@ TEST(SampleSatTest, EmptyConstraintSetSamplesFreely) {
 TEST(McSatTest, MarginalsMatchExactOnSingleAtom) {
   Problem p;
   p.num_atoms = 1;
-  SearchClause c;
-  c.lits = {MakeLit(0, true)};
-  c.weight = 1.5;
-  p.clauses.push_back(c);
+  p.AddClause({MakeLit(0, true)}, 1.5);
   McSatOptions opts;
   opts.num_samples = 3000;
   opts.burn_in = 100;
@@ -337,13 +324,8 @@ TEST(McSatTest, MarginalsMatchExactOnSmallNetwork) {
   // a => b (w=2), unit a (w=1).
   Problem p;
   p.num_atoms = 2;
-  SearchClause imp;
-  imp.lits = {MakeLit(0, false), MakeLit(1, true)};
-  imp.weight = 2.0;
-  SearchClause unit;
-  unit.lits = {MakeLit(0, true)};
-  unit.weight = 1.0;
-  p.clauses = {imp, unit};
+  p.AddClause({MakeLit(0, false), MakeLit(1, true)}, 2.0);
+  p.AddClause({MakeLit(0, true)}, 1.0);
   McSatOptions opts;
   opts.num_samples = 4000;
   opts.burn_in = 200;
@@ -357,10 +339,7 @@ TEST(McSatTest, MarginalsMatchExactOnSmallNetwork) {
 TEST(McSatTest, HardClausesAlwaysSatisfiedInSamples) {
   Problem p;
   p.num_atoms = 2;
-  SearchClause hard;
-  hard.lits = {MakeLit(0, true), MakeLit(1, true)};
-  hard.hard = true;
-  p.clauses.push_back(hard);
+  p.AddClause({MakeLit(0, true), MakeLit(1, true)}, 0.0, /*is_hard=*/true);
   McSatOptions opts;
   opts.num_samples = 2000;
   McSatResult r = RunMcSat(p, opts, /*seed=*/7);
@@ -376,10 +355,7 @@ TEST(McSatTest, HardClausesAlwaysSatisfiedInSamples) {
 TEST(McSatTest, NegativeWeightSuppressesAtom) {
   Problem p;
   p.num_atoms = 1;
-  SearchClause c;
-  c.lits = {MakeLit(0, true)};
-  c.weight = -2.0;
-  p.clauses.push_back(c);
+  p.AddClause({MakeLit(0, true)}, -2.0);
   McSatOptions opts;
   opts.num_samples = 3000;
   opts.burn_in = 100;

@@ -115,6 +115,60 @@ TEST(FormulaStatsTest, IncrementalCountsMatchRecountUnderRandomFlips) {
   }
 }
 
+// ------------------------------------------------- per-epoch re-weighting
+
+// The learner re-weights its problem in place each epoch. When a rule's
+// weight crosses zero, its clauses' violation convention flips, so
+// `positive` must follow `weight`: every column must equal those of a
+// problem built fresh from the re-weighted clauses.
+TEST(RefreshClauseWeightsTest, SignChangeMatchesFreshProblem) {
+  const int32_t num_rules = 5;
+  GroundClauseStore store = RandomStore(30, 80, num_rules, /*seed=*/11);
+  RuleCountIndex index = BuildRuleCountIndex(store, num_rules);
+  Problem problem = MakeWholeProblem(30, store.clauses());
+  std::vector<uint8_t> hard(store.num_clauses());
+  for (size_t c = 0; c < hard.size(); ++c) hard[c] = store.clauses()[c].hard;
+
+  // Rule 0 goes positive -> negative -> zero -> positive across "epochs".
+  const std::vector<std::vector<double>> epochs = {
+      {1.2, 0.5, -0.7, 0.9, 0.3},
+      {-0.8, 0.5, -0.7, 0.9, 0.3},
+      {0.0, 0.5, 0.4, 0.9, 0.3},
+      {0.6, 0.5, 0.4, 0.9, 0.3},
+  };
+  size_t positive_flips = 0;
+  std::vector<uint8_t> prev_positive = problem.positive;
+  for (const std::vector<double>& rule_weights : epochs) {
+    RefreshClauseWeights(index, rule_weights, &problem);
+
+    std::vector<GroundClause> fresh = store.clauses();
+    std::vector<double> clause_weights(fresh.size());
+    for (size_t c = 0; c < fresh.size(); ++c) {
+      clause_weights[c] = fresh[c].weight;
+    }
+    RecomputeClauseWeights(index, rule_weights, hard, &clause_weights);
+    for (size_t c = 0; c < fresh.size(); ++c) {
+      fresh[c].weight = clause_weights[c];
+    }
+    const Problem want = MakeWholeProblem(30, fresh);
+    EXPECT_EQ(problem.clause_offsets, want.clause_offsets);
+    EXPECT_EQ(problem.lit_data, want.lit_data);
+    EXPECT_EQ(problem.weight, want.weight);
+    EXPECT_EQ(problem.abs_weight, want.abs_weight);
+    EXPECT_EQ(problem.hard, want.hard);
+    EXPECT_EQ(problem.positive, want.positive);
+    EXPECT_EQ(problem.frozen, want.frozen);
+    EXPECT_EQ(problem.num_atoms, want.num_atoms);
+
+    for (size_t c = 0; c < prev_positive.size(); ++c) {
+      positive_flips += prev_positive[c] != problem.positive[c];
+    }
+    prev_positive = problem.positive;
+  }
+  // The sequence really does flip conventions.
+  EXPECT_GT(positive_flips, 0u);
+}
+
 // ------------------------------------------------- MC-SAT gradient check
 
 TEST(FormulaStatsTest, McSatExpectedCountsMatchBruteForce) {
@@ -335,8 +389,8 @@ TEST(WeightRecoveryTest, DiagonalNewtonRecoversSignAndOrdering) {
 TEST(EstimateBytesTest, ArenaAndStateEstimatesArePositiveAndOrdered) {
   GroundClauseStore store = RandomStore(30, 80, 5, /*seed=*/3);
   Problem problem = MakeWholeProblem(30, store.clauses());
-  const size_t arena_bytes = problem.arena().EstimateBytes();
-  EXPECT_GT(arena_bytes, problem.arena().lit_data.size() * sizeof(Lit));
+  const size_t arena_bytes = problem.EstimateBytes();
+  EXPECT_GT(arena_bytes, problem.lit_data.size() * sizeof(Lit));
 
   WalkSatState state(&problem, 10.0);
   // The state's occurrence entries alone (16B per literal occurrence)

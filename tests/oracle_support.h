@@ -23,8 +23,10 @@ inline std::vector<SubProblem> SplitComponents(
   ComponentSet cs = DetectComponents(num_atoms, clauses);
   std::vector<SubProblem> subs;
   subs.reserve(cs.num_components());
+  std::vector<AtomId> local(num_atoms);
   for (size_t i = 0; i < cs.num_components(); ++i) {
-    subs.push_back(BuildSubProblem(clauses, cs.clauses[i], cs.atoms[i]));
+    subs.push_back(
+        BuildSubProblem(clauses, cs.clauses[i], cs.atoms[i], local.data()));
   }
   return subs;
 }

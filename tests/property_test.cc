@@ -1,7 +1,8 @@
 // Property-based tests over randomly generated MLN programs: the two
 // grounders must agree exactly, lazy grounding must be a subset of eager
 // grounding, the engine's cost accounting must match a from-scratch
-// evaluation, and (when small enough) WalkSAT must reach the exact MAP.
+// evaluation, every cost path must agree bit for bit, and (when small
+// enough) WalkSAT must reach the exact MAP.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "ground/bottom_up_grounder.h"
 #include "ground/top_down_grounder.h"
 #include "infer/brute_force.h"
+#include "serve/inference_session.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -21,13 +23,17 @@ namespace {
 /// Builds a random MLN: closed-world relations r0(t,t), r1(t), open
 /// relations q0(t,t), q1(t), a 10-constant domain, random evidence, and
 /// 3-6 random rules with mixed signs, weights, and equality disjuncts.
+/// With `weight_mix`, a second stream also turns about a fifth of the
+/// rules hard and another fifth zero-weight; the program is otherwise the
+/// same one the seed gives without it.
 struct RandomMln {
   MlnProgram program;
   EvidenceDb evidence;
 };
 
-RandomMln MakeRandomMln(uint64_t seed) {
+RandomMln MakeRandomMln(uint64_t seed, bool weight_mix = false) {
   Rng rng(seed);
+  Rng mix_rng(seed ^ 0x6d6978ull);
   RandomMln out;
   {
     Predicate r0;
@@ -134,6 +140,14 @@ RandomMln MakeRandomMln(uint64_t seed) {
     }
     clause.weight = rng.Bernoulli(0.25) ? -(0.5 + rng.NextDouble())
                                         : (0.5 + rng.NextDouble() * 2.0);
+    if (weight_mix) {
+      const double u = mix_rng.NextDouble();
+      if (u < 0.2) {
+        clause.hard = true;
+      } else if (u < 0.4) {
+        clause.weight = 0.0;
+      }
+    }
     clause.rule_id = r;
     Status st = out.program.AddClause(std::move(clause));
     EXPECT_TRUE(st.ok()) << st.ToString();
@@ -247,6 +261,65 @@ TEST_P(RandomMlnTest, MarginalTaskProducesProbabilities) {
     EXPECT_GE(m, 0.0);
     EXPECT_LE(m, 1.0);
   }
+}
+
+// Eq. 1 has one definition, evaluated three ways: in place on the clause
+// store (EvalStoreCost: Run's final cost, Gauss-Seidel's sweeps, the
+// session's EvalCurrentCost), on the search layout (Problem::EvalCost),
+// and by brute force. All of them must agree exactly, over hard,
+// negative and zero-weight clauses alike.
+TEST_P(RandomMlnTest, CostPathsAgreeBitForBit) {
+  RandomMln mln = MakeRandomMln(GetParam(), /*weight_mix=*/true);
+  const double hard_weight = 1e6;
+  SessionOptions sopts;
+  sopts.total_flips = 20000;
+  sopts.hard_weight = hard_weight;
+  sopts.seed = GetParam();
+  sopts.grounding.keep_zero_weight_clauses = true;
+  InferenceSession session(mln.program, sopts);
+  ASSERT_TRUE(session.Open(mln.evidence).ok());
+  const std::vector<GroundClause>& clauses = session.clauses();
+  const size_t n = session.atoms().num_atoms();
+  EXPECT_EQ(session.EvalCurrentCost(),
+            EvalStoreCost(clauses, session.truth(), hard_weight) +
+                session.fixed_cost());
+
+  const Problem whole = MakeWholeProblem(n, clauses);
+  Rng rng(GetParam() * 7 + 3);
+  std::vector<std::vector<uint8_t>> truths = {session.truth(),
+                                              std::vector<uint8_t>(n, 0),
+                                              std::vector<uint8_t>(n, 1)};
+  for (int k = 0; k < 4; ++k) {
+    std::vector<uint8_t> t(n);
+    for (uint8_t& v : t) v = rng.Bernoulli(0.5) ? 1 : 0;
+    truths.push_back(std::move(t));
+  }
+  for (const std::vector<uint8_t>& t : truths) {
+    EXPECT_EQ(EvalStoreCost(clauses, t, hard_weight),
+              whole.EvalCost(t, hard_weight));
+  }
+  if (n <= 20) {
+    auto exact = ExactMap(whole, hard_weight);
+    ASSERT_TRUE(exact.ok());
+    EXPECT_EQ(exact.value().cost,
+              EvalStoreCost(clauses, exact.value().truth, hard_weight));
+  }
+
+  // The batch engine reports the same in-place evaluation as its cost.
+  EngineOptions opts;
+  opts.total_flips = 20000;
+  opts.hard_weight = hard_weight;
+  opts.seed = GetParam();
+  opts.grounding.keep_zero_weight_clauses = true;
+  TuffyEngine engine(mln.program, mln.evidence, opts);
+  auto result = engine.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const EngineResult& r = result.value();
+  const size_t rn = r.grounding.atoms.num_atoms();
+  if (rn == 0) return;
+  EXPECT_EQ(r.search_cost,
+            MakeWholeProblem(rn, r.grounding.clauses.clauses())
+                .EvalCost(r.truth, hard_weight));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMlnTest, ::testing::Range(1, 13));

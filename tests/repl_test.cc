@@ -100,7 +100,8 @@ SessionOptions BaseOptions() {
   return opts;
 }
 
-void ExpectBitIdentical(InferenceSession& got, InferenceSession& want) {
+void ExpectBitIdentical(const InferenceSession& got,
+                        const InferenceSession& want) {
   ASSERT_EQ(got.atoms().num_atoms(), want.atoms().num_atoms());
   for (AtomId a = 0; a < want.atoms().num_atoms(); ++a) {
     EXPECT_EQ(got.atoms().atom(a).pred, want.atoms().atom(a).pred);
@@ -190,12 +191,11 @@ class ReplTest : public ::testing::Test {
   }
 
   void ExpectReplicaMatches(FollowerManager& follower,
-                            InferenceSession& want) {
-    // EvalCurrentCost rebuilds a cached arena, so the helper takes a
-    // mutable session; Read holds the replica lock for the whole check.
+                            const InferenceSession& want) {
+    // Read holds the replica lock for the whole check.
     Status read = follower.replica()->Read(
         kSession, [&](const InferenceSession& got) {
-          ExpectBitIdentical(const_cast<InferenceSession&>(got), want);
+          ExpectBitIdentical(got, want);
           return Status::OK();
         });
     ASSERT_TRUE(read.ok()) << read.ToString();

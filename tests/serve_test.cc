@@ -102,7 +102,6 @@ TEST(ServeTest, EmptyDeltaReturnsCachedWithoutTouchingAnything) {
   InferenceSession session(program, TestSessionOptions());
   ASSERT_TRUE(session.Open(evidence).ok());
   double cost_before = session.EvalCurrentCost();
-  const size_t rebuilds_before = session.stats().arena_rebuilds;
   const std::vector<uint8_t> truth_before = session.truth();
 
   // A literally empty delta.
@@ -124,7 +123,6 @@ TEST(ServeTest, EmptyDeltaReturnsCachedWithoutTouchingAnything) {
   EXPECT_EQ(r2.value().edits.rules_reground, 0u);
   EXPECT_EQ(r2.value().map_cost, cost_before);
 
-  EXPECT_EQ(session.stats().arena_rebuilds, rebuilds_before);
   EXPECT_EQ(session.truth(), truth_before);
   EXPECT_EQ(session.stats().no_op_deltas, 2u);
 }
@@ -449,7 +447,7 @@ TEST(ServeTest, ServedMarginalsMatchFreshExactSolveAfterEveryDelta) {
         SplitComponents(session.atoms().num_atoms(), session.clauses());
     size_t exact_comps = 0;
     for (const SubProblem& sub : subs) {
-      if (sub.problem.clauses.empty()) continue;
+      if (sub.problem.num_clauses() == 0) continue;
       ExactSolveResult ex =
           TrySolveExact(sub.problem, opts.hard_weight, /*want_marginals=*/true);
       if (!ex.solved) continue;  // intractable: served by MC-SAT

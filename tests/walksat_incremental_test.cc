@@ -26,23 +26,24 @@ Problem RandomProblem(uint64_t seed, size_t num_atoms, int num_clauses) {
   Problem p;
   p.num_atoms = num_atoms;
   for (int c = 0; c < num_clauses; ++c) {
-    SearchClause sc;
+    std::vector<Lit> lits;
     int len = 1 + static_cast<int>(rng.Uniform(4));
     for (int i = 0; i < len; ++i) {
       AtomId a = static_cast<AtomId>(rng.Uniform(num_atoms));
       Lit l = MakeLit(a, rng.Bernoulli(0.5));
       bool dup = false;
-      for (Lit e : sc.lits) dup |= (LitAtom(e) == a);
-      if (!dup) sc.lits.push_back(l);
+      for (Lit e : lits) dup |= (LitAtom(e) == a);
+      if (!dup) lits.push_back(l);
     }
-    if (sc.lits.empty()) continue;
-    sc.weight = rng.Bernoulli(0.3) ? -(1.0 + rng.NextDouble())
-                                   : (1.0 + rng.NextDouble());
+    if (lits.empty()) continue;
+    double weight = rng.Bernoulli(0.3) ? -(1.0 + rng.NextDouble())
+                                       : (1.0 + rng.NextDouble());
+    bool is_hard = false;
     if (rng.Bernoulli(0.1)) {
-      sc.hard = true;
-      sc.weight = 0;
+      is_hard = true;
+      weight = 0;
     }
-    p.clauses.push_back(std::move(sc));
+    p.AddClause(lits, weight, is_hard);
   }
   return p;
 }
@@ -94,21 +95,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceTest,
 
 TEST(IncrementalEquivalenceTest, DegenerateDuplicateAtomBinaryClause) {
   // {+a, -a} is a tautology for the positive convention and permanently
-  // violated for the negative one; the arena freezes such clauses so the
+  // violated for the negative one; AddClause freezes such clauses so the
   // cost stays exact and their atoms' cached deltas stay zero.
   Problem p;
   p.num_atoms = 2;
-  SearchClause taut;
-  taut.lits = {MakeLit(0, true), MakeLit(0, false)};
-  taut.weight = 2.0;
-  p.clauses.push_back(taut);
-  SearchClause neg_taut = taut;
-  neg_taut.weight = -3.0;
-  p.clauses.push_back(neg_taut);
-  SearchClause unit;
-  unit.lits = {MakeLit(1, true)};
-  unit.weight = 1.5;
-  p.clauses.push_back(unit);
+  const std::vector<Lit> taut = {MakeLit(0, true), MakeLit(0, false)};
+  p.AddClause(taut, 2.0);
+  p.AddClause(taut, -3.0);
+  p.AddClause({MakeLit(1, true)}, 1.5);
 
   WalkSatState state(&p, kHardWeight);
   state.AllFalseAssignment();
@@ -121,9 +115,9 @@ TEST(IncrementalEquivalenceTest, DegenerateDuplicateAtomBinaryClause) {
 
 TEST(IncrementalEquivalenceTest, AttachReusesStateAcrossArenas) {
   // The MC-SAT pattern: one state re-attached to a sequence of slice
-  // arenas must behave exactly like a fresh state on each.
+  // problems must behave exactly like a fresh state on each.
   Problem p1 = RandomProblem(101, 10, 25);
-  Problem p2 = RandomProblem(202, 10, 3);  // much smaller second arena
+  Problem p2 = RandomProblem(202, 10, 3);  // much smaller second problem
   Rng rng(7);
   WalkSatState state(&p1, kHardWeight);
   state.RandomAssignment(&rng);
@@ -132,7 +126,7 @@ TEST(IncrementalEquivalenceTest, AttachReusesStateAcrossArenas) {
   }
   ExpectStateMatchesScratch(p1, state);
 
-  state.Attach(&p2.arena(), kHardWeight);
+  state.Attach(&p2, kHardWeight);
   state.RandomAssignment(&rng);
   for (int i = 0; i < 50; ++i) {
     state.Flip(static_cast<AtomId>(rng.Uniform(p2.num_atoms)));
@@ -145,10 +139,8 @@ TEST(IncrementalEquivalenceTest, HardClausesUseHardWeightInDeltas) {
   // a delta of exactly -hard_weight.
   Problem p;
   p.num_atoms = 3;
-  SearchClause hc;
-  hc.lits = {MakeLit(0, true), MakeLit(1, true), MakeLit(2, true)};
-  hc.hard = true;
-  p.clauses.push_back(hc);
+  p.AddClause({MakeLit(0, true), MakeLit(1, true), MakeLit(2, true)}, 0.0,
+              /*is_hard=*/true);
   WalkSatState state(&p, kHardWeight);
   state.AllFalseAssignment();
   EXPECT_DOUBLE_EQ(state.cost(), kHardWeight);
@@ -230,12 +222,8 @@ TEST(StagnationPatienceTest, HaltsAfterExactlyPatienceStaleFlips) {
   // improves on the start and each one is stale.
   Problem p;
   p.num_atoms = 1;
-  SearchClause pos;
-  pos.lits = {MakeLit(0, true)};
-  pos.weight = 1.0;
-  SearchClause neg = pos;
-  neg.lits = {MakeLit(0, false)};
-  p.clauses = {pos, neg};
+  p.AddClause({MakeLit(0, true)}, 1.0);
+  p.AddClause({MakeLit(0, false)}, 1.0);
   Rng rng(3);
   WalkSatOptions opts;
   IncrementalWalkSat search(&p, opts, &rng);
@@ -306,12 +294,7 @@ TEST(StagnationPatienceTest, CostZeroStillStopsAtOnce) {
   // cost 0 and stops there, far inside both the budget and the patience.
   Problem p;
   p.num_atoms = 3;
-  for (AtomId a = 0; a < 3; ++a) {
-    SearchClause unit;
-    unit.lits = {MakeLit(a, true)};
-    unit.weight = 1.0;
-    p.clauses.push_back(unit);
-  }
+  for (AtomId a = 0; a < 3; ++a) p.AddClause({MakeLit(a, true)}, 1.0);
   WalkSatOptions opts;
   opts.init_random = false;
   Rng rng(5);

@@ -19,13 +19,11 @@ Problem MakeProblem(size_t num_atoms,
                     std::vector<size_t> hard = {}) {
   Problem p;
   p.num_atoms = num_atoms;
-  for (auto& [lits, w] : clauses) {
-    SearchClause c;
-    c.lits = lits;
-    c.weight = w;
-    p.clauses.push_back(std::move(c));
+  for (size_t c = 0; c < clauses.size(); ++c) {
+    const bool is_hard =
+        std::find(hard.begin(), hard.end(), c) != hard.end();
+    p.AddClause(clauses[c].first, clauses[c].second, is_hard);
   }
-  for (size_t h : hard) p.clauses[h].hard = true;
   return p;
 }
 
@@ -68,24 +66,25 @@ TEST_P(WalkSatStateParamTest, IncrementalCostMatchesRecompute) {
   Problem p;
   p.num_atoms = num_atoms;
   for (int c = 0; c < 30; ++c) {
-    SearchClause sc;
+    std::vector<Lit> lits;
     int len = 1 + static_cast<int>(rng.Uniform(3));
     for (int i = 0; i < len; ++i) {
       AtomId a = static_cast<AtomId>(rng.Uniform(num_atoms));
       Lit l = MakeLit(a, rng.Bernoulli(0.5));
       // Avoid duplicate atoms within a clause for a clean test.
       bool dup = false;
-      for (Lit e : sc.lits) dup |= (LitAtom(e) == a);
-      if (!dup) sc.lits.push_back(l);
+      for (Lit e : lits) dup |= (LitAtom(e) == a);
+      if (!dup) lits.push_back(l);
     }
-    if (sc.lits.empty()) continue;
-    sc.weight = rng.Bernoulli(0.3) ? -(1.0 + rng.NextDouble())
-                                   : (1.0 + rng.NextDouble());
+    if (lits.empty()) continue;
+    double weight = rng.Bernoulli(0.3) ? -(1.0 + rng.NextDouble())
+                                       : (1.0 + rng.NextDouble());
+    bool is_hard = false;
     if (rng.Bernoulli(0.1)) {
-      sc.hard = true;
-      sc.weight = 0;
+      is_hard = true;
+      weight = 0;
     }
-    p.clauses.push_back(std::move(sc));
+    p.AddClause(lits, weight, is_hard);
   }
   const double hard_weight = 50.0;
   WalkSatState state(&p, hard_weight);
@@ -151,14 +150,13 @@ TEST(WalkSatTest, MatchesExactMapOnRandomProblems) {
     Problem p;
     p.num_atoms = 8;
     for (int c = 0; c < 15; ++c) {
-      SearchClause sc;
+      std::vector<Lit> lits;
       for (int i = 0; i < 2; ++i) {
-        sc.lits.push_back(MakeLit(static_cast<AtomId>(rng.Uniform(8)),
-                                  rng.Bernoulli(0.5)));
+        lits.push_back(MakeLit(static_cast<AtomId>(rng.Uniform(8)),
+                               rng.Bernoulli(0.5)));
       }
-      if (LitAtom(sc.lits[0]) == LitAtom(sc.lits[1])) sc.lits.pop_back();
-      sc.weight = 0.5 + rng.NextDouble();
-      p.clauses.push_back(std::move(sc));
+      if (LitAtom(lits[0]) == LitAtom(lits[1])) lits.pop_back();
+      p.AddClause(lits, 0.5 + rng.NextDouble());
     }
     auto exact = ExactMap(p, 1e6);
     ASSERT_TRUE(exact.ok());
