@@ -74,33 +74,24 @@ class BenchJson {
     return *this;
   }
 
-  /// Appends "metrics":{name:value,...} — every counter and histogram
-  /// sample that moved since `base`, as its delta (new names count from
-  /// zero), and every gauge that moved or is not at zero, at its current
-  /// level (a difference of two levels is no level at all). Benches run
-  /// with metrics enabled by default, so this is the per-row account of
+  /// Appends "metrics":{name:value,...} — the registry's movement since
+  /// `base` (MetricsRegistry::SnapshotSince: counters and histogram
+  /// samples as deltas, gauges at their level). Benches run with metrics
+  /// enabled by default, so this is the per-row account of
   /// wal/ground/search activity.
   BenchJson& Metrics(const std::vector<MetricSample>& base) {
     Key("metrics");
     out_ += '{';
     bool first = true;
-    for (const MetricSample& s : MetricsRegistry::Global().Snapshot()) {
-      double before = 0.0;
-      for (const MetricSample& b : base) {
-        if (b.name == s.name) {
-          before = b.value;
-          break;
-        }
-      }
-      if (s.value == before && (!s.gauge || s.value == 0.0)) continue;
-      const double value = s.gauge ? s.value : s.value - before;
+    for (const MetricSample& s :
+         MetricsRegistry::Global().SnapshotSince(base)) {
       if (!first) out_ += ',';
       first = false;
       out_ += '"';
       out_ += s.name;
       out_ += "\":";
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", value);
+      std::snprintf(buf, sizeof(buf), "%.6g", s.value);
       out_ += buf;
     }
     out_ += '}';

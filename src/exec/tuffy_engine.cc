@@ -266,7 +266,6 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
       dopts.p_random = options_.p_random;
       dopts.hard_weight = options_.hard_weight;
       dopts.timeout_seconds = options_.timeout_seconds;
-      dopts.buffer_frames = options_.disk_buffer_frames;
       dopts.io_latency_us = options_.disk_io_latency_us;
       dopts.trace_every_flips = 1;
       dopts.init_random = options_.init_random;

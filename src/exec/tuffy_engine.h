@@ -80,8 +80,7 @@ struct EngineOptions {
   uint32_t loading_io_latency_us = 20;
   size_t loading_buffer_frames = 64;
 
-  /// Tuffy-mm knobs.
-  size_t disk_buffer_frames = 64;
+  /// Tuffy-mm knob (its buffer pool keeps DiskWalkSatOptions' default).
   uint32_t disk_io_latency_us = 20;
 
   /// Serving durability (OpenSession / RecoverSession only; batch runs

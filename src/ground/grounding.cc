@@ -15,6 +15,8 @@ namespace {
 /// Flush granularity of the batched MemTracker charge.
 constexpr size_t kChargeFlushBytes = size_t{1} << 20;
 constexpr AtomId kNoAtom = static_cast<AtomId>(-1);
+/// Safety bound on active-closure iterations.
+constexpr int kMaxClosureIterations = 64;
 
 /// Mirrors a finished grounding run's stats into the registry. Called
 /// once per Finalize, not per row — the per-row paths stay untouched.
@@ -779,7 +781,7 @@ Result<GroundingResult> GroundingContext::Finalize() {
   bool changed = true;
   int iterations = 0;
   std::vector<PendingClause> still_pending;
-  while (changed && iterations < options_.max_closure_iterations) {
+  while (changed && iterations < kMaxClosureIterations) {
     changed = false;
     ++iterations;
     still_pending.clear();

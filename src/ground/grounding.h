@@ -22,8 +22,6 @@ struct GroundingOptions {
   /// active atoms, and iterate activation to a fixpoint. If false, every
   /// evidence-undetermined ground clause is kept (exhaustive grounding).
   bool lazy_closure = true;
-  /// Safety bound on closure iterations.
-  int max_closure_iterations = 64;
   /// Keep ground clauses whose soft weight is exactly 0. Inference
   /// drops them (they cannot affect the cost), but weight learning must
   /// ground them: the clause *structure* is weight-independent, and a

@@ -41,6 +41,30 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
+/// The registry series the server counts each event into, where it
+/// happens; Server::metrics() reads them back against its baseline.
+struct NetSeries {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter* accepted = registry.GetCounter("net.conn.accepted.count");
+  Counter* reaped = registry.GetCounter("net.conn.reaped.count");
+  Counter* bytes_in = registry.GetCounter("net.bytes.in");
+  Counter* bytes_out = registry.GetCounter("net.bytes.out");
+  Counter* requests = registry.GetCounter("serve.request.count");
+  Counter* responses = registry.GetCounter("net.response.count");
+  Counter* errors = registry.GetCounter("serve.error.count");
+  Counter* overloaded = registry.GetCounter("serve.overload.count");
+  Counter* protocol_errors = registry.GetCounter("net.protocol_error.count");
+  Gauge* conns_open = registry.GetGauge("net.conn.open");
+  Gauge* queue_depth = registry.GetGauge("net.queue.depth");
+  Gauge* queue_peak = registry.GetGauge("net.queue.peak");
+  Gauge* sessions_open = registry.GetGauge("net.sessions.open");
+};
+
+const NetSeries& Net() {
+  static const NetSeries series;
+  return series;
+}
+
 }  // namespace
 
 Server::Server(const MlnProgram& program, const EvidenceDb& evidence,
@@ -121,14 +145,17 @@ Status Server::Start() {
       static_cast<size_t>(options_.num_workers > 0 ? options_.num_workers
                                                    : 1));
 
-  // Registry histograms for wire latency and lane queue wait. The
-  // baseline snapshot makes metrics() per-server: sequential servers in
-  // one process (the tests) each see only their own samples.
+  // The baselines make metrics() per-server: sequential servers in one
+  // process (the tests) each see only their own traffic. A fresh server
+  // has no jobs, whatever an earlier one left pending at Stop.
   wire_latency_ = MetricsRegistry::Global().GetHistogram(
       "net.delta.wire.seconds");
   lane_wait_ = MetricsRegistry::Global().GetHistogram(
       "net.lane.queue.wait.seconds");
+  Net().queue_depth->Set(0);
+  Net().queue_peak->Set(0);
   wire_latency_base_ = wire_latency_->Snapshot();
+  metrics_base_ = MetricsRegistry::Global().Snapshot();
 
   stop_ = false;
   started_ = true;
@@ -237,11 +264,8 @@ void Server::Loop() {
     for (uint64_t id : to_close) CloseConnection(id);
   }
   for (auto& [id, conn] : conns_) ::close(conn.fd);
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    counters_.connections_open = 0;
-  }
   conns_.clear();
+  Net().conns_open->Set(0);
 }
 
 void Server::AcceptReady() {
@@ -259,9 +283,8 @@ void Server::AcceptReady() {
     conn.fd = fd;
     conn.last_activity = MonotonicSeconds();
     conns_.emplace(next_conn_id_++, std::move(conn));
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    ++counters_.connections_accepted;
-    ++counters_.connections_open;
+    Net().accepted->Add(1);
+    Net().conns_open->Set(static_cast<int64_t>(conns_.size()));
   }
 }
 
@@ -273,8 +296,7 @@ bool Server::ReadReady(uint64_t conn_id, Connection* conn) {
     if (n > 0) {
       conn->in.append(buf, static_cast<size_t>(n));
       conn->last_activity = MonotonicSeconds();
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      counters_.bytes_in += static_cast<uint64_t>(n);
+      Net().bytes_in->Add(static_cast<uint64_t>(n));
       continue;
     }
     if (n == 0) {
@@ -307,8 +329,7 @@ bool Server::ReadReady(uint64_t conn_id, Connection* conn) {
     // kBadCrc / kTooLarge: the stream is garbage or hostile from here
     // on — there is no way to resynchronize a length-prefixed stream —
     // so the connection dies. Sessions are unaffected.
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    ++counters_.protocol_errors;
+    Net().protocol_errors->Add(1);
     return false;
   }
   conn->in.erase(0, off);
@@ -328,8 +349,7 @@ bool Server::WriteReady(Connection* conn) {
                        MSG_NOSIGNAL);
     if (n > 0) {
       conn->out.erase(0, static_cast<size_t>(n));
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      counters_.bytes_out += static_cast<uint64_t>(n);
+      Net().bytes_out->Add(static_cast<uint64_t>(n));
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -348,20 +368,13 @@ void Server::CloseConnection(uint64_t conn_id) {
   // Jobs in flight for this connection keep running; their responses
   // are dropped at completion drain. The session itself lives on in
   // the manager — that is the re-attach guarantee.
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  --counters_.connections_open;
+  Net().conns_open->Set(static_cast<int64_t>(conns_.size()));
 }
 
 // ------------------------------------------------------------- routing
 
 void Server::HandlePayload(uint64_t conn_id, const std::string& payload) {
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    ++counters_.requests;
-  }
-  static Counter* request_count =
-      MetricsRegistry::Global().GetCounter("serve.request.count");
-  request_count->Add(1);
+  Net().requests->Add(1);
   // Replication frames are handled inline on the loop thread: the
   // handshake only stages files the durability layer already published,
   // and acks just advance a counter — neither needs a worker.
@@ -388,8 +401,7 @@ void Server::HandlePayload(uint64_t conn_id, const std::string& payload) {
   if (req.type == MsgType::kStats && req.session.empty()) {
     NetResponse resp = ServerStatsResponse(req.request_id);
     SendToConnection(conn_id, EncodeFrame(EncodeResponse(resp)));
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    ++counters_.responses;
+    Net().responses->Add(1);
     return;
   }
   // kMetrics is likewise answered inline (and ignores any session
@@ -400,8 +412,7 @@ void Server::HandlePayload(uint64_t conn_id, const std::string& payload) {
     resp.request_id = req.request_id;
     resp.message = MetricsRegistry::Global().RenderText();
     SendToConnection(conn_id, EncodeFrame(EncodeResponse(resp)));
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    ++counters_.responses;
+    Net().responses->Add(1);
     return;
   }
   if (req.session.empty()) {
@@ -413,13 +424,7 @@ void Server::HandlePayload(uint64_t conn_id, const std::string& payload) {
   // Admission: shed instead of queueing past the bound. The event loop
   // must never block behind session work.
   if (jobs_pending_ >= options_.max_queue) {
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      ++counters_.overloaded;
-    }
-    static Counter* overload_count =
-        MetricsRegistry::Global().GetCounter("serve.overload.count");
-    overload_count->Add(1);
+    Net().overloaded->Add(1);
     SendError(conn_id, req.request_id, WireError::kOverloaded,
               "job queue full");
     return;
@@ -430,16 +435,8 @@ void Server::HandlePayload(uint64_t conn_id, const std::string& payload) {
   job.request = std::move(req);
   job.enqueued_at = MonotonicSeconds();
   ++jobs_pending_;
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    counters_.queue_depth = jobs_pending_;
-    if (jobs_pending_ > counters_.queue_peak) {
-      counters_.queue_peak = jobs_pending_;
-    }
-  }
-  static Gauge* queue_gauge =
-      MetricsRegistry::Global().GetGauge("net.queue.depth");
-  queue_gauge->Set(static_cast<int64_t>(jobs_pending_));
+  Net().queue_depth->Set(static_cast<int64_t>(jobs_pending_));
+  Net().queue_peak->SetMax(static_cast<int64_t>(jobs_pending_));
   Lane& lane = lanes_[job.request.session];
   if (lane.running) {
     // The session already has a job in flight: FIFO behind it. This is
@@ -474,14 +471,10 @@ void Server::SubmitJob(Job job) {
     done.is_error = resp.type == MsgType::kError;
     done.latency_seconds = MonotonicSeconds() - job.enqueued_at;
     done.frame = EncodeFrame(EncodeResponse(resp));
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      if (done.is_error) ++counters_.errors_sent;
-      if (done.is_delta && !done.is_error) {
-        ++counters_.deltas_applied;
-      }
-    }
-    if (done.is_delta && !done.is_error) {
+    // A delta's wire-latency sample doubles as its "applied" count.
+    if (done.is_error) {
+      Net().errors->Add(1);
+    } else if (done.is_delta) {
       wire_latency_->Record(done.latency_seconds);
     }
     {
@@ -511,16 +504,10 @@ void Server::DrainCompletions() {
     std::lock_guard<std::mutex> lock(completion_mu_);
     done.swap(completions_);
   }
-  static Gauge* queue_gauge =
-      MetricsRegistry::Global().GetGauge("net.queue.depth");
   for (Completion& c : done) {
     --jobs_pending_;
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      counters_.queue_depth = jobs_pending_;
-      ++counters_.responses;
-    }
-    queue_gauge->Set(static_cast<int64_t>(jobs_pending_));
+    Net().queue_depth->Set(static_cast<int64_t>(jobs_pending_));
+    Net().responses->Add(1);
     auto lane = lanes_.find(c.lane);
     if (lane != lanes_.end()) {
       lane->second.running = false;
@@ -573,14 +560,8 @@ void Server::SendError(uint64_t conn_id, uint64_t request_id, WireError error,
   resp.error = error;
   resp.retryable = WireErrorRetryable(error);
   resp.message = std::move(message);
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    ++counters_.errors_sent;
-    ++counters_.responses;
-  }
-  static Counter* error_count =
-      MetricsRegistry::Global().GetCounter("serve.error.count");
-  error_count->Add(1);
+  Net().errors->Add(1);
+  Net().responses->Add(1);
   SendToConnection(conn_id, EncodeFrame(EncodeResponse(resp)));
 }
 
@@ -649,10 +630,7 @@ void Server::HandleSubscribe(uint64_t conn_id, const std::string& payload) {
       reply.snapshot ? ", shipping snapshot" : "");
 
   SendToConnection(conn_id, EncodeFrame(EncodeReplSubscribeReply(reply)));
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    ++counters_.responses;
-  }
+  Net().responses->Add(1);
   PumpSubscription(conn_id, /*heartbeat=*/false);
 }
 
@@ -745,15 +723,8 @@ void Server::SweepConnections(double now) {
       reap.push_back(id);
     }
   }
-  if (reap.empty()) return;
-  static Counter* reaped =
-      MetricsRegistry::Global().GetCounter("net.conn.reaped.count");
   for (uint64_t id : reap) {
-    reaped->Add(1);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      ++counters_.connections_reaped;
-    }
+    Net().reaped->Add(1);
     CloseConnection(id);
   }
 }
@@ -916,9 +887,7 @@ NetResponse Server::Execute(const NetRequest& request, TraceBuilder* trace) {
   if (manager_ != nullptr && (request.type == MsgType::kOpenSession ||
                               request.type == MsgType::kCloseSession ||
                               request.type == MsgType::kRecover)) {
-    static Gauge* sessions_gauge =
-        MetricsRegistry::Global().GetGauge("net.sessions.open");
-    sessions_gauge->Set(static_cast<int64_t>(manager_->num_sessions()));
+    Net().sessions_open->Set(static_cast<int64_t>(manager_->num_sessions()));
   }
   return resp;
 }
@@ -951,17 +920,35 @@ NetResponse Server::ServerStatsResponse(uint64_t request_id) {
 }
 
 ServerMetrics Server::metrics() const {
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  ServerMetrics m = counters_;
+  ServerMetrics m;
+  if (wire_latency_ == nullptr) return m;  // never started
+  const std::vector<MetricSample> since =
+      MetricsRegistry::Global().SnapshotSince(metrics_base_);
+  auto read = [&since](const char* name) -> uint64_t {
+    for (const MetricSample& s : since) {
+      if (s.name == name) return static_cast<uint64_t>(s.value);
+    }
+    return 0;  // SnapshotSince leaves out what did not move
+  };
+  m.connections_accepted = read("net.conn.accepted.count");
+  m.connections_open = read("net.conn.open");
+  m.bytes_in = read("net.bytes.in");
+  m.bytes_out = read("net.bytes.out");
+  m.requests = read("serve.request.count");
+  m.responses = read("net.response.count");
+  m.errors_sent = read("serve.error.count");
+  m.overloaded = read("serve.overload.count");
+  m.protocol_errors = read("net.protocol_error.count");
+  m.connections_reaped = read("net.conn.reaped.count");
+  m.queue_depth = read("net.queue.depth");
+  m.queue_peak = read("net.queue.peak");
   m.sessions_open = manager_ ? manager_->num_sessions() : 0;
-  if (wire_latency_ != nullptr) {
-    // Subtract the Start() baseline: only this server's samples.
-    const HistogramSnapshot snap =
-        wire_latency_->Snapshot() - wire_latency_base_;
-    m.delta_p50_ms = snap.Percentile(0.50) * 1e3;
-    m.delta_p99_ms = snap.Percentile(0.99) * 1e3;
-    m.delta_mean_ms = snap.mean_seconds() * 1e3;
-  }
+  const HistogramSnapshot snap =
+      wire_latency_->Snapshot() - wire_latency_base_;
+  m.deltas_applied = snap.count;
+  m.delta_p50_ms = snap.Percentile(0.50) * 1e3;
+  m.delta_p99_ms = snap.Percentile(0.99) * 1e3;
+  m.delta_mean_ms = snap.mean_seconds() * 1e3;
   return m;
 }
 

@@ -66,7 +66,8 @@ struct ServerOptions {
   ReplicaSession* replica = nullptr;
 };
 
-/// Point-in-time server-wide counters (see Server::metrics).
+/// Point-in-time server-wide figures, read from the metrics registry
+/// (see Server::metrics).
 struct ServerMetrics {
   uint64_t connections_accepted = 0;
   uint64_t connections_open = 0;
@@ -82,11 +83,11 @@ struct ServerMetrics {
   uint64_t deltas_applied = 0;
   size_t queue_depth = 0;
   size_t queue_peak = 0;
+  /// Read from the session manager itself (0 on a replica front).
   uint64_t sessions_open = 0;
   /// ApplyDelta wire latency (decode to response enqueue, including
   /// queue wait), from the registry's atomic-bucket histogram
-  /// ("net.delta.wire.seconds"), baselined at Start so the numbers are
-  /// per-server even though the registry is process-wide.
+  /// ("net.delta.wire.seconds"), baselined at Start like the counters.
   double delta_p50_ms = 0.0;
   double delta_p99_ms = 0.0;
   double delta_mean_ms = 0.0;
@@ -133,6 +134,9 @@ class Server {
   /// The bound port (after Start) — the way to find an ephemeral bind.
   uint16_t port() const { return port_; }
 
+  /// Registry counters as their movement since Start, gauges as levels.
+  /// Two live servers in one process share the counts, and the figures
+  /// obey the SetMetricsEnabled kill switch (docs/OBSERVABILITY.md).
   ServerMetrics metrics() const;
   /// Multi-line human-readable metrics dump (the SIGINT report).
   std::string MetricsReport() const;
@@ -251,16 +255,12 @@ class Server {
   std::mutex completion_mu_;
   std::vector<Completion> completions_;
 
-  // Metrics, shared by loop + workers + external readers. Latency lives
-  // in the registry's lock-free histograms (no more mutate-under-mutex
-  // LatencyHistogram); the registry is process-wide, so Start() captures
-  // a baseline snapshot and metrics() reports the diff — per-server
-  // numbers survive multiple sequential servers in one process (tests).
-  mutable std::mutex metrics_mu_;
-  ServerMetrics counters_;
+  // The registry is process-wide, so Start() captures a baseline and
+  // metrics() reports the movement since it.
   Histogram* wire_latency_ = nullptr;       // net.delta.wire.seconds
   Histogram* lane_wait_ = nullptr;          // net.lane.queue.wait.seconds
   HistogramSnapshot wire_latency_base_;
+  std::vector<MetricSample> metrics_base_;
 };
 
 }  // namespace tuffy

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 
 namespace tuffy {
 
@@ -103,6 +105,11 @@ MetricsRegistry::MetricsRegistry() {
            "serve.request.count",
            "serve.error.count",
            "serve.overload.count",
+           "net.conn.accepted.count",
+           "net.bytes.in",
+           "net.bytes.out",
+           "net.response.count",
+           "net.protocol_error.count",
            "storage.bufferpool.hits",
            "storage.bufferpool.misses",
            "storage.bufferpool.evictions",
@@ -112,6 +119,8 @@ MetricsRegistry::MetricsRegistry() {
   for (const char* name : {
            "threadpool.queue.depth",
            "net.queue.depth",
+           "net.queue.peak",
+           "net.conn.open",
            "net.sessions.open",
        }) {
     GetGauge(name);
@@ -161,6 +170,21 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
     HistogramSnapshot snap = kv.second->Snapshot();
     out.push_back({kv.first + ".count", static_cast<double>(snap.count)});
     out.push_back({kv.first + ".sum_seconds", snap.sum_seconds});
+  }
+  return out;
+}
+
+std::vector<MetricSample> MetricsRegistry::SnapshotSince(
+    const std::vector<MetricSample>& base) const {
+  std::unordered_map<std::string, double> before;
+  for (const MetricSample& b : base) before.emplace(b.name, b.value);
+  std::vector<MetricSample> out;
+  for (MetricSample& s : Snapshot()) {
+    auto it = before.find(s.name);
+    const double prev = it == before.end() ? 0.0 : it->second;
+    if (s.value == prev && (!s.gauge || s.value == 0.0)) continue;
+    if (!s.gauge) s.value -= prev;
+    out.push_back(std::move(s));
   }
   return out;
 }

@@ -180,6 +180,14 @@ class MetricsRegistry {
   /// flight recorder and bench stamping read this.
   std::vector<MetricSample> Snapshot() const;
 
+  /// The movement since `base` (an earlier Snapshot()): each counter and
+  /// histogram sample that moved, as its difference (names absent from
+  /// `base` count from zero), and each gauge that moved or is not at
+  /// zero, at its level — a difference of two levels is no level at all.
+  /// Series left out read as zero.
+  std::vector<MetricSample> SnapshotSince(
+      const std::vector<MetricSample>& base) const;
+
   /// Prometheus-style text exposition: "# TYPE" comment lines, one
   /// "<name> <value>" sample per counter/gauge, and per histogram the
   /// cumulative buckets '<name>.bucket{le="<seconds>"} <count>' plus

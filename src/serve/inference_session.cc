@@ -205,20 +205,43 @@ InferenceSession::InferenceSession(const MlnProgram& program,
                                    SessionOptions options)
     : program_(program),
       options_(options),
-      grounder_(program, options.grounding, options.optimizer),
-      traces_(std::max<uint32_t>(1, options.trace_ring)) {}
+      grounder_(program, options.grounding, options.optimizer) {}
 
-Status InferenceSession::Open(const EvidenceDb& initial_evidence,
-                              ThreadPool* shared_pool) {
-  if (open_) return Status::Internal("session already open");
-  TUFFY_RETURN_IF_ERROR(ValidateSessionOptions(options_));
-
+void InferenceSession::AttachPool(ThreadPool* shared_pool) {
   if (shared_pool != nullptr) {
     pool_ = shared_pool;
   } else if (options_.num_threads > 1) {
     owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     pool_ = owned_pool_.get();
   }
+}
+
+Status InferenceSession::PublishWal(uint64_t base_records) {
+  const std::string wal_path = options_.wal_dir + "/wal.log";
+  const std::string init_path = wal_path + ".init";
+  TUFFY_ASSIGN_OR_RETURN(wal_, WalWriter::Create(init_path));
+  BinaryWriter hdr;
+  hdr.U8(kWalRecordHeader);
+  hdr.U32(kWalMagic);
+  hdr.U32(kWalVersion);
+  hdr.U64(program_fp_);
+  hdr.U64(options_fp_);
+  hdr.U64(base_records);
+  TUFFY_RETURN_IF_ERROR(wal_->Append(hdr.Take()));
+  TUFFY_RETURN_IF_ERROR(wal_->Sync());
+  TUFFY_RETURN_IF_ERROR(WriteSnapshot());
+  if (std::rename(init_path.c_str(), wal_path.c_str()) != 0) {
+    return Status::IOError(StrFormat("cannot publish wal %s: %s",
+                                     wal_path.c_str(), std::strerror(errno)));
+  }
+  return SyncDir(options_.wal_dir);
+}
+
+Status InferenceSession::Open(const EvidenceDb& initial_evidence,
+                              ThreadPool* shared_pool) {
+  if (open_) return Status::Internal("session already open");
+  TUFFY_RETURN_IF_ERROR(ValidateSessionOptions(options_));
+  AttachPool(shared_pool);
 
   TUFFY_RETURN_IF_ERROR(grounder_.Initialize(initial_evidence));
 
@@ -245,32 +268,10 @@ Status InferenceSession::Open(const EvidenceDb& initial_evidence,
     }
     program_fp_ = ProgramFingerprint(program_);
     options_fp_ = OptionsFingerprint(options_);
-    // Initialization happens under a temp name and publishes wal.log
-    // last: its presence is the commit point. A crash or error anywhere
-    // before the rename leaves only wal.log.init (plus a snapshot-0
-    // orphan), both of which the next Open simply overwrites — the
-    // directory is never wedged half-initialized.
-    const std::string init_path = wal_path + ".init";
-    TUFFY_ASSIGN_OR_RETURN(wal_, WalWriter::Create(init_path));
-    BinaryWriter hdr;
-    hdr.U8(kWalRecordHeader);
-    hdr.U32(kWalMagic);
-    hdr.U32(kWalVersion);
-    hdr.U64(program_fp_);
-    hdr.U64(options_fp_);
-    hdr.U64(wal_base_);  // 0: this session originates its own timeline
-    TUFFY_RETURN_IF_ERROR(wal_->Append(hdr.Take()));
-    TUFFY_RETURN_IF_ERROR(wal_->Sync());
-    // Snapshot 0: the cold-start state. Recovery always has a snapshot
-    // to stand on, so it never re-runs the cold search — and the initial
-    // evidence never needs to be in the log.
-    TUFFY_RETURN_IF_ERROR(WriteSnapshot());
-    if (std::rename(init_path.c_str(), wal_path.c_str()) != 0) {
-      return Status::IOError(StrFormat("cannot publish wal %s: %s",
-                                       wal_path.c_str(),
-                                       std::strerror(errno)));
-    }
-    TUFFY_RETURN_IF_ERROR(SyncDir(options_.wal_dir));
+    // Snapshot 0 is the cold-start state: recovery never re-runs the cold
+    // search, and the initial evidence never needs to be in the log.
+    // Base 0: this session originates its own timeline.
+    TUFFY_RETURN_IF_ERROR(PublishWal(/*base_records=*/0));
   }
   open_ = true;  // only a fully-initialized session accepts deltas
   return Status::OK();
@@ -583,13 +584,7 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::Recover(
   } else {
     rstats.records_skipped = session->wal_records_;
   }
-
-  if (shared_pool != nullptr) {
-    session->pool_ = shared_pool;
-  } else if (options.num_threads > 1) {
-    session->owned_pool_ = std::make_unique<ThreadPool>(options.num_threads);
-    session->pool_ = session->owned_pool_.get();
-  }
+  session->AttachPool(shared_pool);
 
   // Replay the WAL suffix through the normal delta path. Bit-identity
   // with the original session holds because every source of order in
@@ -671,12 +666,7 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::BootstrapFollower(
   const uint64_t program_fp = ProgramFingerprint(program);
   const uint64_t options_fp = OptionsFingerprint(options);
   auto session = std::make_unique<InferenceSession>(program, options);
-  if (shared_pool != nullptr) {
-    session->pool_ = shared_pool;
-  } else if (options.num_threads > 1) {
-    session->owned_pool_ = std::make_unique<ThreadPool>(options.num_threads);
-    session->pool_ = session->owned_pool_.get();
-  }
+  session->AttachPool(shared_pool);
   // Restore before touching the disk: a snapshot from a primary with a
   // different program or inference options is refused by the fingerprint
   // checks, leaving the directory empty rather than wedged.
@@ -687,28 +677,9 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::BootstrapFollower(
         "shipped snapshot was not rebased to the follower timeline");
   }
   session->wal_base_ = primary_position;
-
-  // Same init-under-temp-name discipline as Open: wal.log's presence is
-  // the commit point, and everything before it is overwritable litter.
-  const std::string init_path = wal_path + ".init";
-  TUFFY_ASSIGN_OR_RETURN(session->wal_, WalWriter::Create(init_path));
-  BinaryWriter hdr;
-  hdr.U8(kWalRecordHeader);
-  hdr.U32(kWalMagic);
-  hdr.U32(kWalVersion);
-  hdr.U64(program_fp);
-  hdr.U64(options_fp);
-  hdr.U64(primary_position);
-  TUFFY_RETURN_IF_ERROR(session->wal_->Append(hdr.Take()));
-  TUFFY_RETURN_IF_ERROR(session->wal_->Sync());
   // Local snapshot 0 = the shipped state, so a restart recovers without
   // the primary's help.
-  TUFFY_RETURN_IF_ERROR(session->WriteSnapshot());
-  if (std::rename(init_path.c_str(), wal_path.c_str()) != 0) {
-    return Status::IOError(StrFormat("cannot publish wal %s: %s",
-                                     wal_path.c_str(), std::strerror(errno)));
-  }
-  TUFFY_RETURN_IF_ERROR(SyncDir(options.wal_dir));
+  TUFFY_RETURN_IF_ERROR(session->PublishWal(primary_position));
   session->committed_.store(0, std::memory_order_release);
   return session;
 }

@@ -68,8 +68,6 @@ struct SessionOptions {
   // recovered (or twinned) under different observability knobs is still
   // bit-identical.
 
-  /// Finished delta traces retained per session for the kTrace query.
-  uint32_t trace_ring = 16;
   /// A delta slower than this logs its rendered span tree at Warning;
   /// 0 disables the slow-delta log.
   double slow_delta_seconds = 0.0;
@@ -230,7 +228,7 @@ class InferenceSession {
   Result<DeltaApplyResult> ApplyDelta(const EvidenceDelta& delta,
                                       TraceBuilder* trace = nullptr);
 
-  /// Recent delta traces, newest last (bounded by options.trace_ring).
+  /// Recent delta traces, newest last (the last 16 deltas).
   std::vector<DeltaTrace> RecentTraces() const { return traces_.Snapshot(); }
 
   /// Current MAP cost: sum of per-component best costs plus the
@@ -293,6 +291,10 @@ class InferenceSession {
   /// nothing to search), the exact solver, or the warm stagnation rule.
   enum class SearchEnd : uint8_t { kFlips, kExact, kStale };
 
+  /// Runs searches on `shared_pool` if given, else on an owned pool of
+  /// options_.num_threads workers (inline for a single thread).
+  void AttachPool(ThreadPool* shared_pool);
+
   /// Searches the given components (and refreshes their marginals),
   /// writing per-component cost/flip slots and the global truth slices.
   /// `cold` selects the initial-assignment policy; warm runs start from
@@ -316,6 +318,12 @@ class InferenceSession {
   /// Serializes the full session state and writes it as snapshot
   /// `wal_records_` (atomically; see durability/snapshot.h).
   Status WriteSnapshot();
+
+  /// Writes the WAL header (timeline `base_records`) and snapshot 0 under
+  /// wal.log.init, then renames it to wal.log — the commit point. A
+  /// crash before the rename leaves only litter the next initialization
+  /// overwrites: the directory is never wedged half-initialized.
+  Status PublishWal(uint64_t base_records);
 
   /// Inverse of WriteSnapshot's payload, applied to a freshly-built
   /// session. Corruption on any mismatch (including the program/options
@@ -345,8 +353,8 @@ class InferenceSession {
   bool open_ = false;
   SessionStats stats_;
 
-  /// Recent finished delta traces (kTrace wire query); capacity fixed at
-  /// construction from options.trace_ring.
+  /// Recent finished delta traces (kTrace wire query): TraceRing's
+  /// default capacity, the last 16 deltas.
   TraceRing traces_;
 
   // ---- Durability state (all inert for a volatile session).

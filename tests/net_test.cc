@@ -58,6 +58,27 @@ GroundAtom Atom(const MlnProgram& program, const std::string& pred,
   return atom;
 }
 
+/// True when the call reached the server and got a reply of `type`.
+bool Replied(const Result<NetResponse>& reply, MsgType type) {
+  return reply.ok() && reply.value().type == type;
+}
+
+/// One server-wide kStats figure (-1 when the reply lacks it).
+double StatValue(const Result<NetResponse>& reply, const std::string& key) {
+  EXPECT_TRUE(reply.ok());
+  if (!reply.ok()) return -1;
+  for (const auto& [k, value] : reply.value().stats) {
+    if (k == key) return value;
+  }
+  return -1;
+}
+
+/// Turns the registry's kill switch off for one scope.
+struct MetricsOff {
+  MetricsOff() { SetMetricsEnabled(false); }
+  ~MetricsOff() { SetMetricsEnabled(true); }
+};
+
 class NetTest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions opts = ServerOptions{}) {
@@ -833,6 +854,101 @@ TEST_F(NetTest, ServerWideStatsAndMetricsReport) {
   const std::string report = server_->MetricsReport();
   EXPECT_NE(report.find("deltas: 1 applied"), std::string::npos) << report;
   EXPECT_NE(report.find("connections:"), std::string::npos);
+
+  // A job that answers kError is an error reply on both sides: the
+  // server-wide errors_sent and the registry's serve.error.count.
+  Counter* registry_errors =
+      MetricsRegistry::Global().GetCounter("serve.error.count");
+  const double errors_before = StatValue(client.Stats(), "errors_sent");
+  const uint64_t registry_before = registry_errors->Value();
+  auto missing = client.QueryMap("never-opened");
+  ASSERT_TRUE(missing.ok());
+  ASSERT_EQ(missing.value().type, MsgType::kError);
+  EXPECT_EQ(missing.value().error, WireError::kNotFound);
+  EXPECT_EQ(StatValue(client.Stats(), "errors_sent"), errors_before + 1);
+  EXPECT_EQ(registry_errors->Value(), registry_before + 1);
+}
+
+TEST_F(NetTest, SecondServerCountsOnlyItsOwnTraffic) {
+  ServerOptions opts;
+  opts.session.total_flips = 20000;
+  opts.session.seed = 11;
+  // One connection: open, two deltas, then the server-wide kStats.
+  auto drive = [&] {
+    Client client = MakeClient();
+    EXPECT_TRUE(Replied(client.OpenSession("s1"), MsgType::kOpenReply));
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_TRUE(Replied(client.ApplyDelta("s1", ToggleDelta(i)),
+                          MsgType::kDeltaReply));
+    }
+    return client.Stats();
+  };
+  const char* kKeys[] = {"requests", "responses", "bytes_in", "bytes_out",
+                         "connections_accepted", "deltas_applied",
+                         "queue_peak"};
+  auto counted = [](const ServerMetrics& m) {
+    return std::vector<uint64_t>{m.requests, m.responses, m.bytes_in,
+                                 m.bytes_out, m.connections_accepted,
+                                 m.deltas_applied, m.queue_peak};
+  };
+
+  StartServer(opts);
+  const Result<NetResponse> first_stats = drive();
+  // After Stop every count is final (the last reply's bytes included).
+  server_->Stop();
+  const ServerMetrics first = server_->metrics();
+  EXPECT_EQ(first.requests, 4u);
+  EXPECT_EQ(first.responses, 4u);
+  EXPECT_EQ(first.connections_accepted, 1u);
+  EXPECT_EQ(first.deltas_applied, 2u);
+  EXPECT_EQ(first.queue_peak, 1u);
+  EXPECT_GT(first.bytes_in, 0u);
+  EXPECT_GT(first.bytes_out, 0u);
+  EXPECT_EQ(first.connections_open, 0u);
+
+  // A second server in the same process starts from zero...
+  server_ = std::make_unique<Server>(program_, evidence_, opts);
+  ASSERT_TRUE(server_->Start().ok());
+  const ServerMetrics fresh = server_->metrics();
+  for (uint64_t v : counted(fresh)) EXPECT_EQ(v, 0u);
+  EXPECT_EQ(fresh.connections_open, 0u);
+  EXPECT_EQ(fresh.queue_depth, 0u);
+
+  // ...and the same traffic reads exactly as it did on the first.
+  const Result<NetResponse> second_stats = drive();
+  for (const char* key : kKeys) {
+    EXPECT_EQ(StatValue(second_stats, key), StatValue(first_stats, key))
+        << key;
+  }
+  EXPECT_EQ(StatValue(second_stats, "requests"), 4.0);
+  server_->Stop();
+  EXPECT_EQ(counted(server_->metrics()), counted(first));
+}
+
+TEST_F(NetTest, MetricsKillSwitchStopsServerCounts) {
+  StartServer();
+  Client client = MakeClient();
+  ASSERT_TRUE(Replied(client.OpenSession("s1"), MsgType::kOpenReply));
+  const ServerMetrics before = server_->metrics();
+  ASSERT_EQ(before.deltas_applied, 0u);
+  {
+    // The server's figures are registry series: with the kill switch
+    // off, a delta applies but is not counted.
+    MetricsOff off;
+    ASSERT_TRUE(Replied(client.ApplyDelta("s1", ToggleDelta(0)),
+                        MsgType::kDeltaReply));
+  }
+  const ServerMetrics during = server_->metrics();
+  EXPECT_EQ(during.deltas_applied, before.deltas_applied);
+  EXPECT_EQ(during.requests, before.requests);
+  EXPECT_EQ(during.responses, before.responses);
+  EXPECT_EQ(during.bytes_in, before.bytes_in);
+
+  ASSERT_TRUE(Replied(client.ApplyDelta("s1", ToggleDelta(1)),
+                      MsgType::kDeltaReply));
+  const ServerMetrics after = server_->metrics();
+  EXPECT_EQ(after.deltas_applied, before.deltas_applied + 1);
+  EXPECT_EQ(after.requests, before.requests + 1);
 }
 
 }  // namespace

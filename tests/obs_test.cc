@@ -4,6 +4,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,6 +155,22 @@ TEST(MetricsTest, SnapshotMarksGauges) {
   const std::string text = registry.RenderText();
   EXPECT_NE(text.find("# TYPE obs_test.gauge gauge\nobs_test.gauge 7\n"),
             std::string::npos);
+
+  // SnapshotSince: counters as their movement, gauges as their level,
+  // names born after the baseline from zero, unmoved series left out.
+  registry.GetCounter("obs_test.unmoved")->Add(1);
+  const std::vector<MetricSample> base = registry.Snapshot();
+  registry.GetGauge("obs_test.gauge")->Set(5);
+  registry.GetCounter("obs_test.marked_counter")->Add(3);
+  registry.GetCounter("obs_test.born_later")->Add(4);
+  std::map<std::string, double> since;
+  for (const MetricSample& s : registry.SnapshotSince(base)) {
+    since[s.name] = s.value;
+  }
+  EXPECT_EQ(since["obs_test.gauge"], 5.0);
+  EXPECT_EQ(since["obs_test.marked_counter"], 3.0);
+  EXPECT_EQ(since["obs_test.born_later"], 4.0);
+  EXPECT_EQ(since.count("obs_test.unmoved"), 0u);
 }
 
 // -------------------------------------------------------------- traces
